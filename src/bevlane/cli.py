@@ -217,7 +217,6 @@ def cmd_fit(args) -> int:
     start.z[:] = 0.0
     cfg = FitConfig(
         max_steps=args.steps,
-        polish_steps=args.polish_steps,
         tol=args.tol,
         smooth_delta=args.smooth_delta,
         include_first_step=args.include_first_step,
@@ -252,6 +251,7 @@ def cmd_fit(args) -> int:
             "n_steps": report.n_steps,
             "n_evals": report.n_evals,
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
             "pinned_step": report.pinned_step,
             "z_rmse_m": rmse,
         }
@@ -356,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("weak", "sup"), default="weak")
     p.add_argument("--steps", type=int, default=12000)
-    p.add_argument("--polish-steps", type=int, default=300)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--smooth-delta", type=float, default=None)
     p.add_argument("--pin", choices=("zero", "keep"), default="zero")

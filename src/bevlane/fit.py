@@ -12,10 +12,14 @@ so declaring the height z_ref at one reference step determines every other
 step as z_j = h - (h - z_ref) * W'_ref / W'_j.  It doubles as an independent
 oracle for the iterative fit.
 
-`fit_ws` minimizes in two stages.  The main one is a damped Gauss-Newton
-(Levenberg-Marquardt) solve of the residual vector behind the two terms,
-width differences and height gaps, with their Jacobian in z.  A short L1
-polish by accelerated descent follows.
+`fit_ws` starts from that closed form, which is exact on straight roads and
+close on bends.  A damped Gauss-Newton (Levenberg-Marquardt) solve on a
+Huber-smoothed lead-in of the residual vector behind the two terms (width
+differences and height gaps, with their Jacobian in z) follows.  The exact
+L1 objective is then minimized by sequential linear programming: each step
+minimizes the L1 norm of the linearized residuals inside a trust region, and
+a step whose predicted decrease is at most `tol` certifies a first-order L1
+stationary point.
 """
 
 from __future__ import annotations
@@ -26,32 +30,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorTensor, PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD
-from .errors import DivergedError, InvalidInputError
+from .errors import DivergedError, InvalidInputError, NumericError
 from .geometry import CameraPose
 from .losses import (
     LossWeights,
+    _check_same_grid,
     _l1,
-    height_loss,
     ordered_active_layer1,
     second_layer_mask,
     weak_residuals,
-    width_loss,
     width_profile_3d,
-    z_loss,
 )
 
 log = logging.getLogger(__name__)
 
-_MAX_HALVINGS = 60
-_SUFF_DECREASE = 0.5
-_STEP_GROWTH = 1.5
-_STALL_WINDOW = 400
-_POLISH_WINDOW = 50
-_STALL_RATIO = 0.97
-# Stall exits are only allowed once the loss is small; scenes whose optimum is
-# exactly zero pass through this band quickly, so the exit effectively fires
-# only on arc-approximation plateaus, which have no exact zero to reach.
-_STALL_FLOOR = 1e-4
 # Gauss-Newton damping: start, growth on a rejected step (and shrink on an
 # accepted one), and the range it stays in; past the top no step lowers the
 # loss any more.
@@ -62,42 +54,45 @@ _DAMPING_MAX = 1e12
 # a Gauss-Newton step that lowers the loss by less than this fraction ends the
 # stage: the minimum is positive (bends) and has been reached to rounding
 _STALL_GAIN = 1e-10
-# IRLS weights 1/max(|r|, floor) on the exact L1 objective
-_L1_FLOOR = 1e-12
+# first trust radius of the sequential LP, in metres of height
+_RADIUS0 = 0.05
+# a stage stalls when its loss fell by less than this fraction over the last
+# window of steps.  The LPs approach minima that are not vertices (crowned
+# roads) this slowly, and so does Gauss-Newton on their large residuals;
+# vertex minima end as stationary long before
+_WINDOW = 10
+_MIN_PROGRESS = 1e-2
+# how a fit may stop; only the first two mean it converged
+STOP_REASONS = ("target", "stationary", "stalled", "max_steps")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Stage budgets and objectives of the fits.
+    """Budget and objectives of the fits.
 
-    The weak objective is piecewise linear in z, so fit_ws's main stage
-    minimizes a Huber-smoothed surrogate (`continuation_delta`) down to `tol`
-    by Gauss-Newton, at most `max_steps` iterations; on scenes where the
-    residuals are exactly satisfiable both objectives share the same
-    minimizer, so nothing is given up.  A short polish on the requested
-    objective (`smooth_delta`, default exact L1) finishes the job: accelerated
-    descent with line search, `polish_steps` steps from step `polish_step0`.
-    Without the lead-in (continuation_delta None, polish_steps 0, or
-    smooth_delta >= continuation_delta) the Gauss-Newton stage minimizes the
-    requested objective itself and no polish follows.  fit_sup descends its
-    smoothed objective the accelerated way, `max_steps` steps from `step0`.
+    The requested objective is the weighted sum of the residual magnitudes:
+    exact L1 by default, Huber-smoothed with `smooth_delta`.  A Gauss-Newton
+    stage on the blunter Huber lead-in `continuation_delta` (None: none)
+    runs first.  Exact L1 is then minimized by sequential LP, a Huber
+    objective by Gauss-Newton.  `max_steps` bounds the Gauss-Newton
+    iterations and LP solves together.  A fit converges once the requested
+    loss is at most `tol` ("target"), or once no step is predicted to lower
+    it by more than `tol` ("stationary"); otherwise it ends "stalled" or at
+    "max_steps".
     """
 
     max_steps: int = 12000
-    polish_steps: int = 300
     tol: float = 1e-12
-    step0: float = 1.0
-    polish_step0: float = 0.01
     smooth_delta: float | None = None
     continuation_delta: float | None = 1.0
     weights: LossWeights = LossWeights()
     include_first_step: bool = False
 
     def __post_init__(self):
-        if self.max_steps < 1 or self.polish_steps < 0:
-            raise InvalidInputError("step budgets must be positive (polish may be 0)")
-        if self.tol < 0 or self.step0 <= 0 or self.polish_step0 <= 0:
-            raise InvalidInputError("tol must be >= 0 and step sizes positive")
+        if self.max_steps < 1:
+            raise InvalidInputError("max_steps must be positive")
+        if self.tol < 0:
+            raise InvalidInputError("tol must be >= 0")
         for name in ("smooth_delta", "continuation_delta"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -106,12 +101,21 @@ class FitConfig:
 
 @dataclass
 class FitReport:
+    """Outcome of a fit, scored on the requested objective throughout.
+
+    `history` holds the loss of the start, then the loss after each step
+    (and the start's again where the lead-in is dropped); `stop_reason` is
+    one of STOP_REASONS, and `converged` is True only for "target" and
+    "stationary".
+    """
+
     initial_loss: float
     final_loss: float
     n_steps: int
     n_evals: int
     converged: bool
     pinned_step: int | None
+    stop_reason: str
     history: list[float] = field(default_factory=list)
 
 
@@ -193,90 +197,18 @@ def closed_form_z_profile(
     return closed_form_z(mean_w, pose.height_m, ref_index=ref_index, ref_z=ref_z)
 
 
-def _require_finite(loss, grad, history):
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+def _require_finite(loss, jac, history):
+    if not np.isfinite(loss) or not np.all(np.isfinite(jac)):
         raise DivergedError("loss or its derivative became non-finite", trace=history[-50:])
 
 
-def _minimize(p0, evaluate, pre, *, max_steps, target, step0, stall_window):
-    """Nesterov-accelerated descent with a backtracking line search.
-
-    Momentum restarts whenever it stops paying, so the accepted-loss sequence
-    is monotone non-increasing; the line search halves a growing trial step
-    until a sufficient-decrease test holds, which settles onto the kinks of
-    L1 terms like bisection would.  A stall exit fires once the loss sits
-    below the floor but stops improving across a window, which is how runs
-    whose best reachable loss is positive terminate.  Returns
-    (p, loss, history, n_steps, n_evals, reason).
-    """
-    p = p0.copy()
-    loss, grad = evaluate(p)
-    _require_finite(loss, grad, [float(loss)])
-    history = [float(loss)]
-    n_evals = 1
-    if loss <= target:
-        return p, loss, history, 0, n_evals, "target"
-    best_p, best_loss = p.copy(), loss
-    y = p.copy()
-    t_mom = 1.0
-    s = step0
-    reason = "max_steps"
-    steps = 0
-    for _ in range(max_steps):
-        f_y, g_y = evaluate(y)
-        n_evals += 1
-        _require_finite(f_y, g_y, history)
-        d = g_y * pre
-        descent = float(g_y @ d)
-        if descent <= 0:
-            reason = "stationary"
-            break
-        s *= _STEP_GROWTH
-        accepted = False
-        f_c = f_y
-        cand = y
-        for _ in range(_MAX_HALVINGS):
-            cand = y - s * d
-            f_c, _ = evaluate(cand)
-            n_evals += 1
-            if np.isfinite(f_c) and f_c <= f_y - _SUFF_DECREASE * s * descent:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            if t_mom > 1.0:
-                # the lookahead point is unworkable; drop momentum and retry
-                y = p.copy()
-                t_mom = 1.0
-                s = step0
-                continue
-            reason = "wedged"
-            break
-        if f_c > loss:
-            # progress relative to the lookahead but not the iterate: restart
-            y = p.copy()
-            t_mom = 1.0
-            history.append(float(loss))
-            continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = cand + ((t_mom - 1.0) / t_next) * (cand - p)
-        p, loss, t_mom = cand, f_c, t_next
-        steps += 1
-        history.append(float(loss))
-        if loss < best_loss:
-            best_p, best_loss = p.copy(), loss
-        if loss <= target:
-            reason = "target"
-            break
-        k = len(history) - 1 - stall_window
-        if k >= 0 and loss < _STALL_FLOOR and loss > _STALL_RATIO * history[k]:
-            reason = "stalled"
-            break
-    return best_p, best_loss, history, steps, n_evals, reason
+def _stalled(losses):
+    """True when the loss fell by at most _MIN_PROGRESS of itself over the last window."""
+    return len(losses) > _WINDOW and losses[-1 - _WINDOW] - losses[-1] <= _MIN_PROGRESS * losses[-1 - _WINDOW]
 
 
-def _gauss_newton(p0, evaluate, delta, *, max_steps, target):
-    """Damped Gauss-Newton on the residuals of a Huber (or, for delta=None, L1) objective.
+def _gauss_newton(p0, evaluate, delta, score, *, max_steps, target):
+    """Damped Gauss-Newton on the residuals of a Huber objective.
 
     evaluate(p) returns (r, scale, jac) and the objective is sum(scale * rho(r))
     with rho the `_l1` penalty.  Each iteration solves the normal equations
@@ -286,26 +218,25 @@ def _gauss_newton(p0, evaluate, delta, *, max_steps, target):
     one minimized.  The Levenberg damping adds a multiple of the identity,
     relative to the largest diagonal entry; only steps that lower the
     objective are taken, and the damping grows until one does.  Returns
-    (p, loss, history, n_steps, n_evals, reason).
+    (p, scores, n_evals, reason), scores holding score(r, scale) after each
+    step.
     """
-    floor = _L1_FLOOR if delta is None else delta
-
     def loss_of(r, scale):
         return float(scale @ _l1(r, delta)[0])
 
     p = p0.copy()
     r, scale, jac = evaluate(p)
     loss = loss_of(r, scale)
-    history = [loss]
-    _require_finite(loss, jac, history)
+    _require_finite(loss, jac, [loss])
+    scores: list[float] = []
     n_evals = 1
     if loss <= target:
-        return p, loss, history, 0, n_evals, "target"
+        return p, scores, n_evals, "target"
     damping = _DAMPING0
     reason = "max_steps"
-    steps = 0
+    losses = [loss]
     for _ in range(max_steps):
-        sw = np.sqrt(scale / np.maximum(np.abs(r), floor))
+        sw = np.sqrt(scale / np.maximum(np.abs(r), delta))
         a = sw[:, None] * jac
         normal = a.T @ a
         grad = a.T @ (sw * r)
@@ -316,38 +247,167 @@ def _gauss_newton(p0, evaluate, delta, *, max_steps, target):
             r_c, _, jac_c = evaluate(cand)
             f_c = loss_of(r_c, scale)
             n_evals += 1
-            _require_finite(f_c, jac_c, history)
+            _require_finite(f_c, jac_c, losses + [f_c])
             if f_c < loss:
                 break
             damping *= _DAMPING_FACTOR
             if damping > _DAMPING_MAX:
-                return p, loss, history, steps, n_evals, "stationary"
+                return p, scores, n_evals, "stalled"
         damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
         gain = loss - f_c
         p, r, jac, loss = cand, r_c, jac_c, f_c
-        steps += 1
-        history.append(loss)
+        losses.append(loss)
+        scores.append(score(r, scale))
         if loss <= target:
             reason = "target"
             break
-        if gain <= _STALL_GAIN * (loss + gain):
+        if gain <= _STALL_GAIN * (loss + gain) or _stalled(losses):
             reason = "stalled"
             break
-    return p, loss, history, steps, n_evals, reason
+    return p, scores, n_evals, reason
 
 
-def _stages(cfg: FitConfig):
-    """(main-stage delta, whether the polish stage runs) for fit_ws.
+def _sequential_lp(p0, evaluate, *, max_steps, target):
+    """Exact-L1 minimization of sum(scale * |r|) by sequential linear programming.
 
-    The main stage runs on the Huber lead-in `continuation_delta` when the
-    requested objective is sharper and a polish budget exists; otherwise it
-    runs on the requested objective itself and nothing follows.
+    Each step linearizes r(p + d) ~ r + J d and solves
+    min sum(scale * |r + J d|) subject to |d|_inf <= radius, as the LP
+    r + J d = t+ - t-, t+/- >= 0 (l1 SLP: Osborne & Watson 1971; Fletcher,
+    Practical Methods of Optimization, ch. 14).  The ratio of actual to
+    predicted decrease halves or doubles the trust radius; only steps that
+    lower the loss are taken.  The model is convex, so a predicted decrease
+    of at most `target` certifies a first-order stationary point.  Returns
+    (p, losses, n_evals, reason); each LP solved is a step, and losses holds
+    the loss after each.
     """
-    lead = cfg.continuation_delta
-    blunter = cfg.smooth_delta is not None and lead is not None and cfg.smooth_delta >= lead
-    if lead is None or cfg.polish_steps == 0 or blunter:
-        return cfg.smooth_delta, False
-    return lead, True
+    from scipy.optimize import linprog
+
+    p = p0.copy()
+    r, scale, jac = evaluate(p)
+    loss = float(scale @ np.abs(r))
+    losses = [loss]
+    _require_finite(loss, jac, losses)
+    n_evals = 1
+    if loss <= target:
+        return p, [], n_evals, "target"
+    n, m = p.size, r.size
+    cost = np.concatenate([np.zeros(n), scale, scale])
+    bounds = np.zeros((n + 2 * m, 2))
+    bounds[n:, 1] = np.inf
+    eye = np.eye(m)
+    radius = _RADIUS0
+    reason = "max_steps"
+    for step in range(max_steps):
+        # heights no residual depends on stay where they are
+        bounds[:n, 1] = np.where(np.any(jac != 0, axis=0), radius, 0.0)
+        bounds[:n, 0] = -bounds[:n, 1]
+        lp = linprog(cost, A_eq=np.hstack([jac, -eye, eye]), b_eq=-r, bounds=bounds, method="highs")
+        if lp.status != 0:
+            raise NumericError(f"LP step {step} failed: {lp.message}")
+        d = lp.x[:n]
+        predicted = loss - float(scale @ np.abs(r + jac @ d))
+        if predicted <= target:
+            losses.append(loss)
+            reason = "stationary"
+            break
+        r_c, _, jac_c = evaluate(p + d)
+        f_c = float(scale @ np.abs(r_c))
+        n_evals += 1
+        _require_finite(f_c, jac_c, losses + [f_c])
+        length = float(np.abs(d).max())
+        ratio = (loss - f_c) / predicted
+        if ratio < 0.25:
+            radius = 0.5 * length
+        elif ratio > 0.75:
+            radius = max(radius, 2.0 * length)
+        if f_c < loss:
+            p, r, jac, loss = p + d, r_c, jac_c, f_c
+        losses.append(loss)
+        if loss <= target:
+            reason = "target"
+            break
+        if _stalled(losses):
+            reason = "stalled"
+            break
+    return p, losses[1:], n_evals, reason
+
+
+def _solve(work, free, residuals, cfg: FitConfig, pin_step):
+    """Minimize the requested objective over work.z[free] and write the result back.
+
+    residuals(p) returns (r, scale, jac) at heights p.  The Huber lead-in is
+    kept only where it lowers the requested objective, so a fit never ends
+    above its start.  Returns (work, FitReport).
+    """
+    requested, lead = cfg.smooth_delta, cfg.continuation_delta
+
+    def score(r, scale):
+        return float(scale @ _l1(r, requested)[0])
+
+    p = work.z[free]
+    r, scale, jac = residuals(p)
+    history = [score(r, scale)]
+    _require_finite(history[0], jac, history)
+    n_steps, n_evals = 0, 1
+    if history[0] <= cfg.tol or p.size == 0:
+        if p.size == 0:
+            log.warning("nothing to optimize: no free z entries")
+        reason = "target" if history[0] <= cfg.tol else "stationary"
+    else:
+        if lead is not None and (requested is None or requested < lead):
+            q, scores, evals, _ = _gauss_newton(
+                p, residuals, lead, score, max_steps=cfg.max_steps, target=cfg.tol
+            )
+            n_steps, n_evals = len(scores), n_evals + evals
+            history += scores
+            if scores and scores[-1] < history[0]:
+                p = q
+            elif scores:
+                history.append(history[0])
+        budget = cfg.max_steps - n_steps
+        if requested is None:
+            p, scores, evals, reason = _sequential_lp(p, residuals, max_steps=budget, target=cfg.tol)
+        else:
+            p, scores, evals, reason = _gauss_newton(
+                p, residuals, requested, score, max_steps=budget, target=cfg.tol
+            )
+        history += scores
+        n_steps += len(scores)
+        n_evals += evals
+    if reason not in ("target", "stationary"):
+        log.info("fit stopped %s after %d steps", reason, n_steps)
+    work.z[free] = p
+    return work, FitReport(
+        initial_loss=history[0], final_loss=history[-1], n_steps=n_steps, n_evals=n_evals,
+        converged=reason in ("target", "stationary"), pinned_step=pin_step,
+        stop_reason=reason, history=history,
+    )
+
+
+def _closed_form_start(work, pose, mask, free, pin_step, pin_value):
+    """Set the free heights to the closed form in the gauge of the pinned height.
+
+    Heights where the closed form has no value start at 0.  Leaves the
+    tensor as it is when the closed form has no value at the pin step, or
+    the pinned height is at or above the camera.
+    """
+    try:
+        z, valid, _ = closed_form_z_profile(work, pose, mask, ref_index=pin_step, ref_z=pin_value)
+    except InvalidInputError:
+        return
+    work.z[free] = np.broadcast_to(np.where(valid, z, 0.0), work.z.shape)[free]
+
+
+def _solve_weak(work, pose, cfg: FitConfig, free, mask, pin_step):
+    """fit_ws's solve from the heights already in `work`."""
+
+    def residuals(p):
+        work.z[free] = p
+        return weak_residuals(
+            work, pose, free, mask, include_first_step=cfg.include_first_step, weights=cfg.weights,
+        )
+
+    return _solve(work, free, residuals, cfg, pin_step)
 
 
 def _free_z_mask(tensor: AnchorTensor, mask: np.ndarray) -> np.ndarray:
@@ -392,11 +452,11 @@ def fit_ws(
     first step with a valid width pair) is set to `pin_z` and held fixed to
     remove the scale freedom.  The default pin of 0 declares the road flat at
     the nearest measured step, the same gauge `closed_form_z` uses; pass
-    pin_z=None to keep the values already in the tensor instead.  The main
-    stage is the Gauss-Newton solve; in the polish stage far-step heights
-    react to a z change much more weakly than near ones, so its descent
-    directions are preconditioned by (1 + y/h)^-2 to even that out.  Returns
-    a new tensor and a FitReport; the input is not modified.
+    pin_z=None to keep the values already in the tensor instead.  The free
+    heights start at `closed_form_z_profile` in the gauge of the pin; the
+    heights in the tensor are the start only when the pinned heights differ
+    between lanes or the closed form has no value at the pin.  Returns a new
+    tensor and a FitReport; the input is not modified.
     """
     if mask is None:
         mask = second_layer_mask(tensor)
@@ -408,44 +468,11 @@ def fit_ws(
     if pin_z is not None:
         work.z[:, :, pin_step] = pin_z
     free = _free_z_mask(work, mask)
+    pinned = np.unique(work.z[:, :, pin_step][free[:, :, pin_step]])
     free[:, :, pin_step] = False
-    rows = np.broadcast_to(work.grid.y_steps_array(), work.z.shape)
-    pre = 1.0 / (1.0 + rows[free] / pose.height_m) ** 2
-    w = cfg.weights
-
-    def residuals(p):
-        work.z[free] = p
-        return weak_residuals(
-            work, pose, free, mask, include_first_step=cfg.include_first_step, weights=w,
-        )
-
-    def make_objective(delta):
-        def evaluate(p):
-            work.z[free] = p
-            l_w, g_w = width_loss(work, pose, mask=mask, smooth_delta=delta)
-            l_h, g_h = height_loss(
-                work, mask=mask, include_first_step=cfg.include_first_step,
-                smooth_delta=delta,
-            )
-            loss = w.width * l_w + w.height * l_h
-            grad = w.width * g_w.d_z + w.height * g_h.d_z
-            return loss, grad[free]
-        return evaluate
-
-    delta, polish = _stages(cfg)
-
-    def main_stage(p):
-        return _gauss_newton(p, residuals, delta, max_steps=cfg.max_steps, target=cfg.tol)
-
-    def polish_stage(p):
-        return _minimize(
-            p, make_objective(cfg.smooth_delta), pre, max_steps=cfg.polish_steps,
-            target=0.0, step0=cfg.polish_step0, stall_window=_POLISH_WINDOW,
-        )
-
-    stages = [(main_stage, True)] + ([(polish_stage, False)] if polish else [])
-    final_objective = make_objective(cfg.smooth_delta if polish else delta)
-    return _run_fit(work, free, stages, final_objective, pin_step)
+    if pinned.size == 1:
+        _closed_form_start(work, pose, mask, free, pin_step, float(pinned[0]))
+    return _solve_weak(work, pose, cfg, free, mask, pin_step)
 
 
 def fit_sup(
@@ -453,70 +480,22 @@ def fit_sup(
     gt: AnchorTensor,
     cfg: FitConfig = FitConfig(),
 ):
-    """Supervised counterpart: descend the direct z regression loss instead.
+    """Supervised counterpart: minimize the direct z regression loss instead.
 
-    Exists to compare convergence behaviour against the weak route on equal
-    footing; the minimizer is the ground-truth z itself, no pin needed.  The
-    exact L1 term has the same uniform-subgradient wedging problem as the weak
-    terms (the line search stalls once most residuals have settled), so one
-    smoothed stage runs down to `tol`; at that level the height RMS error is
-    already below sqrt(2 * tol * delta / n).
+    Exists to compare against the weak route on equal footing, through the
+    same solver; the residual is z - z_gt with an identity Jacobian, so the
+    minimizer is the ground-truth z itself and no pin is needed.
     """
+    _check_same_grid(tensor, gt)
     work = tensor.copy()
     free = (gt.prob >= PROB_ACTIVE_THRESHOLD)[:, :, None] & (gt.vis >= VIS_DECODE_THRESHOLD)
-    w = cfg.weights
+    gate = gt.prob[:, :, None] * gt.vis
+    seen = gate > 0
+    scale = cfg.weights.z * gate[seen]
+    jac = np.eye(scale.size)[:, free[seen]]
 
-    def make_objective(delta):
-        def evaluate(p):
-            work.z[free] = p
-            l_z, g_z = z_loss(work, gt, smooth_delta=delta)
-            return w.z * l_z, w.z * g_z.d_z[free]
-        return evaluate
+    def residuals(p):
+        work.z[free] = p
+        return work.z[seen] - gt.z[seen], scale, jac
 
-    delta = cfg.continuation_delta if cfg.continuation_delta is not None else cfg.smooth_delta
-    objective = make_objective(delta)
-    pre = np.ones(int(free.sum()))
-
-    def descend(p):
-        return _minimize(
-            p, objective, pre, max_steps=cfg.max_steps, target=cfg.tol, step0=cfg.step0,
-            stall_window=_STALL_WINDOW,
-        )
-
-    return _run_fit(work, free, [(descend, True)], objective, None)
-
-
-def _run_fit(work, free, stages, final_objective, pin_step):
-    """Run the stages on work.z[free] in turn and write the result back.
-
-    Each stage is (solve, main): solve(p) returns (p, loss, history, n_steps,
-    n_evals, reason), and the fit counts as converged unless a main stage
-    stops on its step budget.  `final_objective` scores the tensor when no
-    height is free.
-    """
-    if not free.any():
-        loss, _ = final_objective(np.empty(0))
-        log.warning("nothing to optimize: no free z entries")
-        return work, FitReport(
-            initial_loss=float(loss), final_loss=float(loss), n_steps=0,
-            n_evals=1, converged=True, pinned_step=pin_step, history=[float(loss)],
-        )
-    p = work.z[free]
-    history: list[float] = []
-    n_steps = 0
-    n_evals = 0
-    converged = True
-    loss = np.inf
-    for solve, main in stages:
-        p, loss, hist, steps, evals, reason = solve(p)
-        history.extend(hist)
-        n_steps += steps
-        n_evals += evals
-        if main and reason == "max_steps":
-            converged = False
-            log.info("fit stage stopped at its step budget after %d steps", steps)
-    work.z[free] = p
-    return work, FitReport(
-        initial_loss=history[0], final_loss=float(loss), n_steps=n_steps,
-        n_evals=n_evals, converged=converged, pinned_step=pin_step, history=history,
-    )
+    return _solve(work, free, residuals, cfg, None)

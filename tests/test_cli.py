@@ -163,6 +163,7 @@ def test_fit_weak_flat_reproducible(capsys, tmp_path, scene_path):
     )
     assert doc["mode"] == "weak"
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "target"
     assert doc["n_steps"] == 0  # flat labels start at the optimum
     assert doc["z_rmse_m"] <= 1e-9
 
@@ -172,6 +173,7 @@ def test_fit_sup_flat_reproducible(capsys, tmp_path, scene_path):
         capsys, tmp_path, "fit", "--in", str(scene_path), "--mode", "sup", out_name="fit.json"
     )
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "target"
     assert doc["z_rmse_m"] <= 1e-9
 
 
