@@ -13,24 +13,26 @@ All outputs are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
 
 import numpy as np
 
-from .anchors import AnchorGridSpec, NmsConfig, associate, decode, encode_gt, nms
+from .anchors import (
+    PROB_ACTIVE_THRESHOLD,
+    VIS_DECODE_THRESHOLD,
+    AnchorGridSpec,
+    NmsConfig,
+    associate,
+    decode,
+    encode_gt,
+    nms,
+)
 from .calibration import CalibConfig, calibrate_pitch
 from .errors import InvalidInputError, LaneError, NumericError
 from .fit import FitConfig, first_pinnable_step, fit_sup, fit_ws
-from .laneio import (
-    LaneFile,
-    _canonical,
-    lane_file_from_sample,
-    read_lane_file,
-    write_lane_file,
-)
+from .laneio import LaneFile, dumps_json, lane_file_from_sample, read_lane_file, write_lane_file
 from .losses import LossWeights, second_layer_mask, total_sup, total_ws
 from .metrics import EvalConfig, evaluate
 from .plot import write_svg
@@ -53,12 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(_canonical(obj), indent=2, sort_keys=True))
+    print(dumps_json(obj))
 
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_canonical(obj), indent=2, sort_keys=True) + "\n")
+        fh.write(dumps_json(obj) + "\n")
 
 
 def _weights_arg(text: str) -> LossWeights:
@@ -165,8 +167,8 @@ def cmd_encode(args) -> int:
     _print_json(
         {
             "out": str(args.out),
-            "active_layer1": int((tensor.prob[:, 0] >= 0.5).sum()),
-            "active_layer2": int((tensor.prob[:, 1] >= 0.5).sum()),
+            "active_layer1": int((tensor.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum()),
+            "active_layer2": int((tensor.prob[:, 1] >= PROB_ACTIVE_THRESHOLD).sum()),
             "dropped": [{"lane": i, "reason": r} for i, r in assignment.dropped],
         }
     )
@@ -230,7 +232,9 @@ def cmd_fit(args) -> int:
         fitted, report = fit_ws(start, pose, cfg, pin_step=pin_step, pin_z=pin_z, mask=mask)
     else:
         fitted, report = fit_sup(start, reference, cfg)
-    gate = (reference.prob >= 0.5)[:, :, None] & (reference.vis >= 0.5)
+    gate = (reference.prob >= PROB_ACTIVE_THRESHOLD)[:, :, None] & (
+        reference.vis >= VIS_DECODE_THRESHOLD
+    )
     dz = fitted.z[gate] - reference.z[gate]
     rmse = float(np.sqrt(np.mean(dz * dz))) if dz.size else 0.0
     out_lf = LaneFile(
@@ -262,9 +266,9 @@ def cmd_fit(args) -> int:
 def cmd_nms(args) -> int:
     lf = _load(args.input)
     _require(lf.anchors is not None, "input file carries no anchors")
-    before = int((lf.anchors.prob[:, 0] >= 0.5).sum())
+    before = int((lf.anchors.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
     lf.anchors = nms(lf.anchors, NmsConfig(d_thresh=args.d_thresh, prob_floor=args.prob_floor))
-    after = int((lf.anchors.prob[:, 0] >= 0.5).sum())
+    after = int((lf.anchors.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
     write_lane_file(args.out, lf)
     _print_json({"out": str(args.out), "before": before, "after": after, "suppressed": before - after})
     return EXIT_OK

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import PROB_ACTIVE_THRESHOLD, AnchorTensor
+from .anchors import PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD, AnchorTensor
 from .errors import DegenerateSegmentError, InvalidInputError
 from .geometry import CameraPose
 
@@ -159,8 +159,8 @@ def _pair_width_terms(tensor: AnchorTensor, pose: CameraPose, cur: int, prev: in
     a = lift(u_p, z_p, y_row)
     b = p_b = lift(u_p[b_idx], z_p[b_idx], y_row[b_idx])
 
-    vis_c = tensor.vis[cur, 0] >= 0.5
-    vis_p = tensor.vis[prev, 0] >= 0.5
+    vis_c = tensor.vis[cur, 0] >= VIS_DECODE_THRESHOLD
+    vis_p = tensor.vis[prev, 0] >= VIS_DECODE_THRESHOLD
     valid = vis_c & vis_p & vis_p[b_idx]
 
     pa = p - a
@@ -298,7 +298,9 @@ def height_loss(
     for prev, cur in zip(order[:-1], order[1:]):
         if mask[prev] or mask[cur]:
             continue
-        both = (tensor.vis[cur, 0] >= 0.5) & (tensor.vis[prev, 0] >= 0.5)
+        both = (tensor.vis[cur, 0] >= VIS_DECODE_THRESHOLD) & (
+            tensor.vis[prev, 0] >= VIS_DECODE_THRESHOLD
+        )
         both[:j0] = False
         if not np.any(both):
             continue
@@ -344,7 +346,7 @@ def weak_residuals(
     col = col[:, 0]
     steps = np.arange(n_steps)
     chord = _chord_index(n_steps)
-    vis = tensor.vis[:, 0] >= 0.5
+    vis = tensor.vis[:, 0] >= VIS_DECODE_THRESHOLD
     j0 = 0 if include_first_step else 1
     res, scale, jac = [np.empty(0)], [np.empty(0)], [np.empty((0, n_free + 1))]
     order = ordered_active_layer1(tensor)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
 from .geometry import Lane3D, resample_lane3d_xz
@@ -108,6 +106,9 @@ def match_lanes(
     preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()
 ) -> list[LaneMatch]:
     """One-to-one minimum-cost assignment between predictions and ground truth."""
+    # imported here: scipy.optimize is most of `import bevlane` otherwise
+    from scipy.optimize import linear_sum_assignment
+
     if not preds or not gts:
         return []
     grid = cfg.y_grid()
@@ -134,8 +135,13 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float).reshape(-1, 3)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise InvalidInputError("chamfer distance needs non-empty point sets")
-    d = cdist(a, b)
-    return 0.5 * (float(d.min(axis=1).mean()) + float(d.min(axis=0).mean()))
+    # squared distances summed coordinate by coordinate, in the order
+    # scipy's cdist sums them; sqrt is monotone, so it can follow the min
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    d2 += (a[:, None, 1] - b[None, :, 1]) ** 2
+    d2 += (a[:, None, 2] - b[None, :, 2]) ** 2
+    near_a, near_b = np.sqrt(d2.min(axis=1)), np.sqrt(d2.min(axis=0))
+    return 0.5 * (float(near_a.mean()) + float(near_b.mean()))
 
 
 def _lane_points(lane_s, grid: np.ndarray) -> np.ndarray:

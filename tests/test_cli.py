@@ -4,10 +4,14 @@ Every subcommand is run twice with identical inputs and must produce byte
 identical files and stdout: determinism is part of the contract.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlane import LaneFile, write_lane_file
 from bevlane.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -258,3 +262,98 @@ def test_usage_errors_exit_64(capsys, tmp_path):
             main(argv)
         assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed lane files
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A fork scene from `synth` and its `encode` output, as paths and as text."""
+    root = tmp_path_factory.mktemp("valid")
+    scene, encoded = root / "scene.json", root / "encoded.json"
+    assert _quiet_main(["synth", "--profile", "fork", "--seed", "2", "--out", str(scene)]) == 0
+    assert _quiet_main(["encode", "--in", str(scene), "--out", str(encoded)]) == 0
+    return root, {"scene": scene.read_text(), "encoded": encoded.read_text()}
+
+
+def _json_paths(node, path=()):
+    """Every path into `node`; within a list only the first, second and last item."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i in sorted({0, 1, len(node) - 1} & set(range(len(node)))):
+            yield from _json_paths(node[i], path + (i,))
+
+
+def _mutate(doc, path, op, swap):
+    """`doc` with one change at `path` (the root itself is only swapped)."""
+    if not path:
+        return swap
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if op == "delete":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = swap
+    elif op == "truncate":
+        parent[key] = value[: len(value) // 2] if isinstance(value, (list, str)) else swap
+    else:
+        parent[key] = float(op)
+    return doc
+
+
+COMMANDS = {
+    "calibrate": lambda bad, root: ["calibrate", "--in", bad],
+    "encode": lambda bad, root: ["encode", "--in", bad, "--out", str(root / "out.json")],
+    "fit": lambda bad, root: ["fit", "--in", bad, "--out", str(root / "out.json")],
+    "nms": lambda bad, root: ["nms", "--in", bad, "--out", str(root / "out.json")],
+    "eval": lambda bad, root: ["eval", "--pred", bad, "--gt", str(root / "scene.json")],
+    "plot": lambda bad, root: ["plot", "--in", bad, "--out", str(root / "out.svg")],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_lane_files_exit_0_2_or_3(valid_files, data):
+    root, texts = valid_files
+    source = data.draw(st.sampled_from(sorted(texts)), label="source")
+    doc = json.loads(texts[source])
+    path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    op = data.draw(st.sampled_from(["delete", "swap", "truncate", "nan", "inf", "-inf"]), label="op")
+    swap = data.draw(st.sampled_from(["text", 7, 2.5, -1.0, True, None, [], {}, [1.0, 2.0]]))
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    bad = root / "bad.json"
+    bad.write_text(json.dumps(_mutate(doc, path, op, swap)), encoding="utf-8")
+    assert _quiet_main(COMMANDS[command](str(bad), root)) in (EXIT_OK, EXIT_INVALID, EXIT_NUMERIC)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["camera"]["intrinsics"].pop("fx"),
+        lambda d: d["lanes"][0].update(points="abc"),
+        lambda d: d["lanes"].__setitem__(1, 5),
+        lambda d: d["camera"]["pose"].update(pitch_deg="1.0"),
+        lambda d: d.update(lanes=5),
+        lambda d: d.update(camera=[]),
+    ],
+    ids=["missing-fx", "string-points", "lane-not-object", "string-pitch", "lanes-int", "camera-list"],
+)
+def test_eval_rejects_malformed_prediction(capsys, tmp_path, scene_path, edit):
+    doc = json.loads(scene_path.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run(capsys, "eval", "--pred", str(bad), "--gt", str(scene_path))
+    assert code == EXIT_INVALID

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from bevlane import (
     EvalConfig,
@@ -158,3 +162,19 @@ def test_eval_config_validation():
         EvalConfig(match_frac=0.0)
     with pytest.raises(InvalidInputError):
         EvalConfig(min_overlap_points=0)
+
+
+def test_import_bevlane_loads_no_scipy():
+    code = "import sys, bevlane; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_chamfer_distance_equals_the_cdist_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a = rng.normal(size=(rng.integers(1, 30), 3)) * 10.0 ** rng.uniform(-3, 3)
+        b = rng.normal(size=(rng.integers(1, 30), 3)) * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=3)
+        d = cdist(a, b)
+        expected = 0.5 * (float(d.min(axis=1).mean()) + float(d.min(axis=0).mean()))
+        assert chamfer_distance(a, b) == expected
