@@ -9,7 +9,6 @@ recoverable from the 2D labels alone.
 
 from .anchors import (
     AnchorGridSpec,
-    AnchorLane,
     AnchorTensor,
     NmsConfig,
     associate,

@@ -77,29 +77,6 @@ class AnchorGridSpec:
         return np.asarray(self.y_steps, dtype=float)
 
 
-@dataclass
-class AnchorLane:
-    """One candidate lane read out of (or destined for) a tensor slot."""
-
-    layer: int
-    prob: float
-    x_offsets: np.ndarray
-    z: np.ndarray
-    vis: np.ndarray
-
-    def __post_init__(self):
-        if self.layer not in (1, 2):
-            raise InvalidInputError("layer must be 1 or 2")
-        for name in ("x_offsets", "z", "vis"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, arr)
-        n = self.x_offsets.shape[0]
-        if self.z.shape != (n,) or self.vis.shape != (n,):
-            raise InvalidInputError("x_offsets, z and vis must share one length")
-        if not 0.0 <= self.prob <= 1.0:
-            raise InvalidInputError("prob must lie in [0, 1]")
-
-
 class AnchorTensor:
     """Dense anchor state: per (anchor, layer) a probability and per-step fields.
 
@@ -143,25 +120,6 @@ class AnchorTensor:
             z=self.z.copy(),
             vis=self.vis.copy(),
         )
-
-    def lane(self, anchor: int, layer: int) -> AnchorLane:
-        k = layer - 1
-        return AnchorLane(
-            layer=layer,
-            prob=float(self.prob[anchor, k]),
-            x_offsets=self.x_offsets[anchor, k].copy(),
-            z=self.z[anchor, k].copy(),
-            vis=self.vis[anchor, k].copy(),
-        )
-
-    def set_lane(self, anchor: int, lane: AnchorLane) -> None:
-        k = lane.layer - 1
-        if lane.x_offsets.shape[0] != self.grid.n_steps:
-            raise InvalidInputError("lane length does not match grid")
-        self.prob[anchor, k] = lane.prob
-        self.x_offsets[anchor, k] = lane.x_offsets
-        self.z[anchor, k] = lane.z
-        self.vis[anchor, k] = lane.vis
 
     def abs_x(self) -> np.ndarray:
         """Absolute flat-ground lateral position per (anchor, layer, step)."""

@@ -36,10 +36,11 @@ from .losses import (
     LossWeights,
     _check_same_grid,
     _l1,
+    _pairs,
+    _widths,
     ordered_active_layer1,
     second_layer_mask,
     weak_residuals,
-    width_profile_3d,
 )
 
 log = logging.getLogger(__name__)
@@ -428,11 +429,8 @@ def first_pinnable_step(tensor: AnchorTensor, pose: CameraPose, mask: np.ndarray
     """
     if mask is None:
         mask = second_layer_mask(tensor)
-    profile = width_profile_3d(tensor, pose)
-    keep = np.array([not (mask[a] or mask[b]) for a, b in profile.pairs], dtype=bool)
-    if not keep.any():
-        raise InvalidInputError("no step has a valid width pair; nothing to pin")
-    cols = np.flatnonzero(profile.valid[keep].any(axis=0))
+    valid = _widths(tensor, pose, *_pairs(tensor, mask))[1]
+    cols = np.flatnonzero(valid.any(axis=0))
     if cols.size == 0:
         raise InvalidInputError("no step has a valid width pair; nothing to pin")
     return int(cols[0])

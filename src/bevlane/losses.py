@@ -133,43 +133,51 @@ def _chord_index(n_steps: int) -> np.ndarray:
     return np.concatenate([[1], np.arange(0, n_steps - 1)])
 
 
-def _pair_width_terms(tensor: AnchorTensor, pose: CameraPose, cur: int, prev: int):
-    """Widths of lane `cur` against left neighbour `prev`, with parameter jacobians.
+def _pairs(tensor: AnchorTensor, mask: np.ndarray | None = None):
+    """Left and right anchors (P,) of laterally adjacent active layer-1 lanes.
 
-    Returns (widths, valid, chain, dz) where chain maps dLoss/dW coefficients
-    into gradient arrays and dz = (dW/dz_cur, dW/dz_prev, dW/dz_prev[chord])
-    holds, per step j, the partials in the three heights W_j touches: the
-    lane's own at j, the neighbour's at j and the neighbour's at
-    _chord_index(n_steps)[j].  Points are reconstructed from the flat-ground
-    lateral position u and height z as (u*(h-z)/h, y*(h-z)/h, z).
+    Pairs run left to right; with a mask, pairs touching a masked anchor are
+    dropped.
     """
-    grid = tensor.grid
+    order = np.array(ordered_active_layer1(tensor), dtype=int)
+    prev, cur = order[:-1], order[1:]
+    if mask is None:
+        return prev, cur
+    mask = np.asarray(mask)
+    keep = ~np.logical_or(mask[prev], mask[cur])
+    return prev[keep], cur[keep]
+
+
+def _widths(tensor: AnchorTensor, pose: CameraPose, prev: np.ndarray, cur: np.ndarray):
+    """Widths of lanes `cur` against their left neighbours `prev`, all pairs at once.
+
+    Returns (widths, valid, partials).  widths and valid are (P, Y).  W_j
+    touches three points: the lane's own at step j, the neighbour's at j and
+    the neighbour's at _chord_index(Y)[j].  partials = (points, du, dz):
+    points = (lanes (3, P, 1), steps (3, 1, Y)) names them, and du, dz
+    (3, P, Y) hold the partials of W_j in the flat-ground lateral position u
+    and the height z there.
+    Points are reconstructed from u and z as (u*(h-z)/h, y*(h-z)/h, z).
+    """
     h = pose.height_m
-    y_row = grid.y_steps_array()
-    abs_x = tensor.abs_x()
-    u_c, z_c = abs_x[cur, 0], tensor.z[cur, 0]
-    u_p, z_p = abs_x[prev, 0], tensor.z[prev, 0]
-    b_idx = _chord_index(grid.n_steps)
+    step = np.arange(tensor.grid.n_steps)
+    lanes = np.stack([cur, prev, prev])[:, :, None]
+    steps = np.stack([step, step, _chord_index(step.size)])[:, None, :]
+    u = tensor.abs_x()[lanes, 0, steps]
+    z = tensor.z[lanes, 0, steps]
+    y = tensor.grid.y_steps_array()[steps]
+    vis = tensor.vis[lanes, 0, steps] >= VIS_DECODE_THRESHOLD
+    valid = vis[0] & vis[1] & vis[2]
 
-    def lift(u, z, rows):
-        s = (h - z) / h
-        return np.stack([u * s, rows * s, z], axis=-1)
-
-    p = lift(u_c, z_c, y_row)
-    a = lift(u_p, z_p, y_row)
-    b = p_b = lift(u_p[b_idx], z_p[b_idx], y_row[b_idx])
-
-    vis_c = tensor.vis[cur, 0] >= VIS_DECODE_THRESHOLD
-    vis_p = tensor.vis[prev, 0] >= VIS_DECODE_THRESHOLD
-    valid = vis_c & vis_p & vis_p[b_idx]
-
+    s = (h - z) / h
+    p, a, b = np.stack([u * s, y * s, z], axis=-1)
     pa = p - a
-    n = np.linalg.norm(pa, axis=1)
+    n = np.linalg.norm(pa, axis=-1)
     dvec = a - b
-    d = np.linalg.norm(dvec, axis=1)
+    d = np.linalg.norm(dvec, axis=-1)
     if np.any(valid & (d < 1e-12)):
         raise DegenerateSegmentError("neighbour lane has coincident consecutive points")
-    m = np.hypot(dvec[:, 1], dvec[:, 2])
+    m = np.hypot(dvec[..., 1], dvec[..., 2])
 
     d_safe = np.where(d > _TINY, d, 1.0)
     n_safe = np.where(n > _TINY, n, 1.0)
@@ -178,32 +186,81 @@ def _pair_width_terms(tensor: AnchorTensor, pose: CameraPose, cur: int, prev: in
 
     # dW/dP, dW/dA, dW/dB for W = n*m/d; terms with vanishing norms get the
     # zero-subgradient convention.
-    g_p = (m / d_safe)[:, None] * pa / n_safe[:, None]
+    g_p = (m / d_safe)[..., None] * pa / n_safe[..., None]
     g_p[n <= _TINY] = 0.0
-    yz_unit = np.stack([np.zeros_like(m), dvec[:, 1], dvec[:, 2]], axis=-1) / m_safe[:, None]
+    yz_unit = np.stack([np.zeros_like(m), dvec[..., 1], dvec[..., 2]], axis=-1) / m_safe[..., None]
     yz_unit[m <= _TINY] = 0.0
-    radial = (n * m / (d_safe * d_safe))[:, None] * dvec / d_safe[:, None]
-    g_a = -g_p + (n / d_safe)[:, None] * yz_unit - radial
-    g_b = -(n / d_safe)[:, None] * yz_unit + radial
+    radial = (n * m / (d_safe * d_safe))[..., None] * dvec / d_safe[..., None]
+    g_a = -g_p + (n / d_safe)[..., None] * yz_unit - radial
+    g_b = -(n / d_safe)[..., None] * yz_unit + radial
 
-    def chain(g, u, z, rows):
-        du = g[:, 0] * (h - z) / h
-        dz = -g[:, 0] * u / h - g[:, 1] * rows / h + g[:, 2]
-        return du, dz
+    g = np.stack([g_p, g_a, g_b])
+    du = g[..., 0] * (h - z) / h
+    dz = -g[..., 0] * u / h - g[..., 1] * y / h + g[..., 2]
+    return widths, valid, ((lanes, steps), du, dz)
 
-    du_p, dz_pt = chain(g_p, u_c, z_c, y_row)
-    du_a, dz_a = chain(g_a, u_p, z_p, y_row)
-    du_b, dz_b = chain(g_b, u_p[b_idx], z_p[b_idx], y_row[b_idx])
 
-    def accumulate(coeff: np.ndarray, grads: LossGrads) -> None:
-        grads.d_x_offsets[cur, 0] += coeff * du_p
-        grads.d_z[cur, 0] += coeff * dz_pt
-        grads.d_x_offsets[prev, 0] += coeff * du_a
-        grads.d_z[prev, 0] += coeff * dz_a
-        np.add.at(grads.d_x_offsets[prev, 0], b_idx, coeff * du_b)
-        np.add.at(grads.d_z[prev, 0], b_idx, coeff * dz_b)
+def _width_rows(widths: np.ndarray, valid: np.ndarray):
+    """Rows W_j - W_{j-1} (P, Y) and where they count: both widths valid, j >= 1."""
+    keep = np.zeros_like(valid)
+    keep[:, 1:] = valid[:, 1:] & valid[:, :-1]
+    return np.diff(widths, prepend=0.0), keep
 
-    return widths, valid, accumulate, (dz_pt, dz_a, dz_b)
+
+def _height_rows(tensor: AnchorTensor, prev: np.ndarray, cur: np.ndarray, include_first_step: bool):
+    """Rows z_cur - z_prev (P, Y) and where they count: both lanes visible, and
+    past the first step unless it is included."""
+    vis = tensor.vis[:, 0] >= VIS_DECODE_THRESHOLD
+    keep = vis[cur] & vis[prev]
+    keep[:, : 0 if include_first_step else 1] = False
+    return tensor.z[cur, 0] - tensor.z[prev, 0], keep
+
+
+def _pairwise_total(terms: np.ndarray, keep: np.ndarray) -> float:
+    """Sum of terms (P, Y) over keep: per pair, then the pair sums left to right.
+
+    Each pair's kept terms are summed on their own, led by the 0.0 that
+    ndarray.sum starts from, so a loss equals the sum of its pairs' losses
+    bit for bit, however many pairs share the batch.
+    """
+    n_pairs, n_steps = keep.shape
+    if n_pairs == 0:
+        return 0.0
+    segment = np.ones((n_pairs, n_steps + 1), dtype=bool)
+    segment[:, 1:] = keep
+    padded = np.zeros(segment.shape)
+    padded[:, 1:] = terms
+    counts = segment.sum(axis=1)
+    return float(np.add.reduceat(padded[segment], np.cumsum(counts) - counts).cumsum()[-1])
+
+
+def _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, spread=None):
+    """Sum of the L1 (or smoothed) terms of value (P, Y) over keep, with LossGrads.
+
+    The tensor enters value through quantities q (P, Y) whose partials =
+    (points, du, dz), du and dz (K, P, Y), hold dq in the layer-1 lateral
+    positions and heights at points = (lanes, steps); du None means none in
+    the positions.  spread maps dloss/dvalue to dloss/dq (default: value is q).
+    """
+    points, du, dz = partials
+    loss, dloss = _l1(np.where(keep, value, 0.0), smooth_delta)
+    total, n_terms = _pairwise_total(loss, keep), int(keep.sum())
+    coeff = dloss if spread is None else spread(dloss)
+    grads = LossGrads(tensor)
+    if du is not None:
+        np.add.at(grads.d_x_offsets[:, 0], points, coeff * du)
+    np.add.at(grads.d_z[:, 0], points, coeff * dz)
+    if normalize and n_terms:
+        total /= n_terms
+        grads.scale(1.0 / n_terms)
+    return total, grads
+
+
+def _spread_rows(coeff: np.ndarray) -> np.ndarray:
+    """dloss/dW_j from dloss per row: W_j enters row j with + and row j + 1 with -."""
+    out = coeff.copy()
+    out[:, :-1] -= coeff[:, 1:]
+    return out
 
 
 def lane_width(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -222,16 +279,11 @@ def width_profile_3d(tensor: AnchorTensor, pose: CameraPose) -> WidthProfile:
     Entries are valid only where the lane point and both chord endpoints are
     visible.  Requires at least two active lanes.
     """
-    order = ordered_active_layer1(tensor)
-    if len(order) < 2:
+    prev, cur = _pairs(tensor)
+    if prev.size == 0:
         raise InvalidInputError("width profile needs at least two active lanes")
-    widths, valid, pairs = [], [], []
-    for prev, cur in zip(order[:-1], order[1:]):
-        w, ok, _, _ = _pair_width_terms(tensor, pose, cur, prev)
-        widths.append(w)
-        valid.append(ok)
-        pairs.append((prev, cur))
-    return WidthProfile(np.stack(widths), np.stack(valid), pairs)
+    widths, valid = _widths(tensor, pose, prev, cur)[:2]
+    return WidthProfile(widths, valid, list(zip(prev.tolist(), cur.tolist())))
 
 
 def width_loss(
@@ -250,29 +302,9 @@ def width_loss(
     """
     if mask is None:
         mask = second_layer_mask(tensor)
-    grads = LossGrads(tensor)
-    order = ordered_active_layer1(tensor)
-    total = 0.0
-    n_terms = 0
-    for prev, cur in zip(order[:-1], order[1:]):
-        if mask[prev] or mask[cur]:
-            continue
-        w, ok, accumulate, _ = _pair_width_terms(tensor, pose, cur, prev)
-        pair_ok = ok[1:] & ok[:-1]
-        if not np.any(pair_ok):
-            continue
-        diff = np.where(pair_ok, w[1:] - w[:-1], 0.0)
-        loss, dloss = _l1(diff, smooth_delta)
-        total += float(loss[pair_ok].sum())
-        n_terms += int(pair_ok.sum())
-        coeff = np.zeros(tensor.grid.n_steps)
-        coeff[1:] += np.where(pair_ok, dloss, 0.0)
-        coeff[:-1] -= np.where(pair_ok, dloss, 0.0)
-        accumulate(coeff, grads)
-    if normalize and n_terms:
-        total /= n_terms
-        grads.scale(1.0 / n_terms)
-    return total, grads
+    widths, valid, partials = _widths(tensor, pose, *_pairs(tensor, mask))
+    value, keep = _width_rows(widths, valid)
+    return _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, _spread_rows)
 
 
 def height_loss(
@@ -290,31 +322,11 @@ def height_loss(
     """
     if mask is None:
         mask = second_layer_mask(tensor)
-    grads = LossGrads(tensor)
-    order = ordered_active_layer1(tensor)
-    j0 = 0 if include_first_step else 1
-    total = 0.0
-    n_terms = 0
-    for prev, cur in zip(order[:-1], order[1:]):
-        if mask[prev] or mask[cur]:
-            continue
-        both = (tensor.vis[cur, 0] >= VIS_DECODE_THRESHOLD) & (
-            tensor.vis[prev, 0] >= VIS_DECODE_THRESHOLD
-        )
-        both[:j0] = False
-        if not np.any(both):
-            continue
-        diff = np.where(both, tensor.z[cur, 0] - tensor.z[prev, 0], 0.0)
-        loss, dloss = _l1(diff, smooth_delta)
-        total += float(loss[both].sum())
-        n_terms += int(both.sum())
-        step = np.where(both, dloss, 0.0)
-        grads.d_z[cur, 0] += step
-        grads.d_z[prev, 0] -= step
-    if normalize and n_terms:
-        total /= n_terms
-        grads.scale(1.0 / n_terms)
-    return total, grads
+    prev, cur = _pairs(tensor, mask)
+    value, keep = _height_rows(tensor, prev, cur, include_first_step)
+    points = (np.stack([cur, prev])[:, :, None], np.arange(tensor.grid.n_steps))
+    partials = (points, None, np.array([1.0, -1.0])[:, None, None])
+    return _l1_loss(tensor, value, keep, partials, smooth_delta, normalize)
 
 
 def weak_residuals(
@@ -331,49 +343,40 @@ def weak_residuals(
     Rows are the width differences W_j - W_{j-1} and the height gaps
     z_cur - z_prev over exactly the pairs and steps that width_loss and
     height_loss sum, so sum(scale * |r|) is the weighted total of the two
-    terms.  Each width touches three heights (see _pair_width_terms); heights
-    outside the boolean (N, 2, Y) mask `free` are held fixed.  Returns
-    (r, scale, jac) with jac of shape (r.size, free.sum()).
+    terms.  They run pair by pair, left to right, each pair's width rows
+    before its height rows.  Each width touches three heights (see _widths);
+    heights outside the boolean (N, 2, Y) mask `free` are held fixed.
+    Returns (r, scale, jac) with jac of shape (r.size, free.sum()).
     """
     if mask is None:
         mask = second_layer_mask(tensor)
-    n_steps = tensor.grid.n_steps
+    prev, cur = _pairs(tensor, mask)
+    widths, valid, (points, _, dz) = _widths(tensor, pose, prev, cur)
+    w_value, w_keep = _width_rows(widths, valid)
+    h_value, h_keep = _height_rows(tensor, prev, cur, include_first_step)
+    keep = np.stack([w_keep, h_keep], axis=1)
+    row = np.cumsum(keep).reshape(keep.shape) - 1
+    r = np.stack([w_value, h_value], axis=1)[keep]
+    scale = np.array([weights.width, weights.height], dtype=float)[np.nonzero(keep)[1]]
+
     n_free = int(free.sum())
     # column of each layer-1 height in the Jacobian; fixed heights go to an
     # extra column that is dropped at the end
     col = np.full(tensor.z.shape, n_free)
     col[free] = np.arange(n_free)
     col = col[:, 0]
-    steps = np.arange(n_steps)
-    chord = _chord_index(n_steps)
-    vis = tensor.vis[:, 0] >= VIS_DECODE_THRESHOLD
-    j0 = 0 if include_first_step else 1
-    res, scale, jac = [np.empty(0)], [np.empty(0)], [np.empty((0, n_free + 1))]
-    order = ordered_active_layer1(tensor)
-    for prev, cur in zip(order[:-1], order[1:]):
-        if mask[prev] or mask[cur]:
-            continue
-        w, ok, _, (dz_cur, dz_prev, dz_chord) = _pair_width_terms(tensor, pose, cur, prev)
-        dw = np.zeros((n_steps, n_free + 1))
-        dw[steps, col[cur]] += dz_cur
-        dw[steps, col[prev]] += dz_prev
-        dw[steps, col[prev, chord]] += dz_chord
-        j = np.flatnonzero(ok[1:] & ok[:-1]) + 1
-        res.append(w[j] - w[j - 1])
-        scale.append(np.full(j.size, weights.width))
-        jac.append(dw[j] - dw[j - 1])
-
-        both = vis[cur] & vis[prev]
-        both[:j0] = False
-        j = np.flatnonzero(both)
-        rows = np.arange(j.size)
-        dh = np.zeros((j.size, n_free + 1))
-        dh[rows, col[cur, j]] += 1.0
-        dh[rows, col[prev, j]] -= 1.0
-        res.append(tensor.z[cur, 0, j] - tensor.z[prev, 0, j])
-        scale.append(np.full(j.size, weights.height))
-        jac.append(dh)
-    return np.concatenate(res), np.concatenate(scale), np.vstack(jac)[:, :n_free]
+    jac = np.zeros((r.size, n_free + 1))
+    # row j takes +dW_j and -dW_{j-1}; a cell gets at most one of each, so
+    # adding every + before any - rounds it as the difference of the two
+    ok = w_keep[:, 1:]
+    w_rows = row[:, 0, 1:][ok]
+    cols = col[points]
+    np.add.at(jac, (w_rows, cols[..., 1:][:, ok]), dz[..., 1:][:, ok])
+    np.add.at(jac, (w_rows, cols[..., :-1][:, ok]), -dz[..., :-1][:, ok])
+    h_rows = row[:, 1][h_keep]
+    jac[h_rows, col[cur][h_keep]] += 1.0
+    jac[h_rows, col[prev][h_keep]] -= 1.0
+    return r, scale, jac[:, :n_free]
 
 
 def _check_same_grid(pred: AnchorTensor, gt: AnchorTensor) -> None:
@@ -516,18 +519,3 @@ def _optional_pitch(pred_pitch_rad, calib_pitch_rad) -> float:
         return 0.0
     return pitch_loss(pred_pitch_rad, calib_pitch_rad)
 
-
-def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-6, indices=None) -> np.ndarray:
-    """Central-difference gradient of scalar f at x0 over the given flat indices."""
-    x0 = np.asarray(x0, dtype=float)
-    flat = x0.ravel()
-    indices = list(range(flat.size)) if indices is None else list(indices)
-    grad = np.zeros(len(indices))
-    for out_i, i in enumerate(indices):
-        bumped = flat.copy()
-        bumped[i] += step
-        up = f(bumped.reshape(x0.shape))
-        bumped[i] -= 2 * step
-        down = f(bumped.reshape(x0.shape))
-        grad[out_i] = (up - down) / (2 * step)
-    return grad

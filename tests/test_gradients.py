@@ -18,7 +18,7 @@ from bevlane import (
     width_loss,
     z_loss,
 )
-from bevlane.losses import finite_difference_gradient, height_loss, weak_residuals
+from bevlane.losses import height_loss, weak_residuals
 
 POSE = CameraPose(0.0, 1.5)
 FD_STEP = 1e-6
@@ -35,9 +35,25 @@ GRID = AnchorGridSpec(
 ACTIVE = (0, 2, 4)
 
 
-def _rand_tensor(rng):
+def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-6, indices=None) -> np.ndarray:
+    """Central-difference gradient of scalar f at x0 over the given flat indices."""
+    x0 = np.asarray(x0, dtype=float)
+    flat = x0.ravel()
+    indices = list(range(flat.size)) if indices is None else list(indices)
+    grad = np.zeros(len(indices))
+    for out_i, i in enumerate(indices):
+        bumped = flat.copy()
+        bumped[i] += step
+        up = f(bumped.reshape(x0.shape))
+        bumped[i] -= 2 * step
+        down = f(bumped.reshape(x0.shape))
+        grad[out_i] = (up - down) / (2 * step)
+    return grad
+
+
+def _rand_tensor(rng, active=ACTIVE):
     t = AnchorTensor.empty(GRID)
-    for a in ACTIVE:
+    for a in active:
         t.prob[a, 0] = 1.0
         t.vis[a, 0] = 1.0
         t.x_offsets[a, 0] = rng.uniform(-0.4, 0.4, GRID.n_steps)
@@ -171,11 +187,26 @@ def test_gradient_matches_finite_difference(name, seed):
     assert err <= REL_TOL, f"{name} gradient off by rel {err:.3e}"
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_weak_residuals_match_losses_and_differences(seed):
-    t = _rand_tensor(np.random.default_rng(seed))
+def _residual_case(case):
+    """Seeds 0-4: three lanes.  'masked_middle': four lanes, the second with
+    an active second layer, so only the last pair counts.  'occlusion_gap':
+    the middle of three lanes is hidden at step 2."""
+    if case == "masked_middle":
+        t = _rand_tensor(np.random.default_rng(5), active=(0, 2, 4, 5))
+        t.prob[2, 1] = 1.0
+    elif case == "occlusion_gap":
+        t = _rand_tensor(np.random.default_rng(6))
+        t.vis[2, 0, 2] = 0.0
+    else:
+        t = _rand_tensor(np.random.default_rng(case))
+    return t
+
+
+@pytest.mark.parametrize("case", [*range(5), "masked_middle", "occlusion_gap"])
+def test_weak_residuals_match_losses_and_differences(case):
+    t = _residual_case(case)
     free = np.zeros(t.z.shape, dtype=bool)
-    free[list(ACTIVE), 0, 1:] = True  # step 0 held fixed, as a pin would be
+    free[t.prob[:, 0] > 0, 0, 1:] = True  # step 0 held fixed, as a pin would be
     weights = LossWeights(width=2.0, height=0.5)
     r, scale, jac = weak_residuals(t, POSE, free, weights=weights)
     total = 2.0 * width_loss(t, POSE)[0] + 0.5 * height_loss(t)[0]

@@ -20,11 +20,8 @@ from bevlane import (
     z_loss,
 )
 from bevlane.errors import DegenerateSegmentError, InvalidInputError
-from bevlane.losses import (
-    finite_difference_gradient,
-    ordered_active_layer1,
-    second_layer_mask,
-)
+from bevlane.losses import ordered_active_layer1, second_layer_mask
+from test_gradients import finite_difference_gradient
 
 POSE = CameraPose(0.0, 1.5)
 
