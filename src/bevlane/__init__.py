@@ -14,7 +14,6 @@ from .anchors import (
     associate,
     decode,
     encode_gt,
-    mean_lateral_distance,
     nms,
 )
 from .calibration import CalibConfig, CalibrationResult, calibrate_pitch, fit_near_line
@@ -56,7 +55,6 @@ from .geometry import (
     image_to_flat,
     lane_bev_from_lane3d,
     lift_flat_to_3d,
-    point_line_distance,
     project_3d_to_flat,
     project_points3_to_image,
     resample_at_y,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidLaneError, InvalidSpecError
-from .geometry import CameraPose, Lane3D, LaneBEV, resample_at_y, resample_bev_with_z
+from .geometry import CameraPose, Lane3D, LaneBEV, masked_row_sums, resample_at_y, resample_bev_with_z
 
 log = logging.getLogger(__name__)
 
@@ -252,17 +252,17 @@ def decode(tensor: AnchorTensor, pose: CameraPose, prob_threshold: float = PROB_
     return lanes
 
 
-def mean_lateral_distance(tensor: AnchorTensor, i: int, k: int, vis_threshold: float = 0.5):
-    """Mean |x_i - x_k| of two layer-1 candidates over mutually visible steps.
+def _lateral_distances(tensor: AnchorTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean |x_a - x_b| of layer-1 anchors a[p] and b[p] over their mutually visible steps.
 
-    Returns inf when no step is visible on both, which makes the pair immune
-    to suppression.
+    inf where none is, which makes the pair immune to suppression.
     """
-    both = (tensor.vis[i, 0] >= vis_threshold) & (tensor.vis[k, 0] >= vis_threshold)
-    if not np.any(both):
-        return float("inf")
-    abs_x = tensor.abs_x()
-    return float(np.mean(np.abs(abs_x[i, 0][both] - abs_x[k, 0][both])))
+    x = tensor.abs_x()[:, 0]
+    seen = tensor.vis[:, 0] >= VIS_DECODE_THRESHOLD
+    both = seen[a] & seen[b]
+    n = both.sum(axis=1)
+    total = masked_row_sums(np.abs(x[a] - x[b]), both)
+    return np.divide(total, n, out=np.full(n.shape, np.inf), where=n > 0)
 
 
 def nms(tensor: AnchorTensor, cfg: NmsConfig = NmsConfig()) -> AnchorTensor:
@@ -275,18 +275,17 @@ def nms(tensor: AnchorTensor, cfg: NmsConfig = NmsConfig()) -> AnchorTensor:
     visibility, and every layer-2 entry pass through untouched.
     """
     out = tensor.copy()
-    candidates = [i for i in range(out.grid.n_anchors) if out.prob[i, 0] > cfg.prob_floor]
-    order = sorted(candidates, key=lambda i: (-out.prob[i, 0], i))
-    suppressed: set[int] = set()
-    for i in order:
-        if i in suppressed:
-            continue
-        for k in order:
-            if k == i or k in suppressed:
-                continue
-            if out.prob[k, 0] < out.prob[i, 0]:
-                if mean_lateral_distance(out, i, k) < cfg.d_thresh:
-                    suppressed.add(k)
-    for k in suppressed:
-        out.prob[k, 0] = 0.0
+    candidates = np.flatnonzero(out.prob[:, 0] > cfg.prob_floor)
+    prob = out.prob[candidates, 0]
+    # near[i, k]: i may suppress k, which is strictly less confident and close
+    i, k = np.nonzero(prob[:, None] > prob[None, :])
+    if i.size == 0:
+        return out  # equally confident candidates never suppress each other
+    near = np.zeros((prob.size, prob.size), dtype=bool)
+    near[i, k] = _lateral_distances(out, candidates[i], candidates[k]) < cfg.d_thresh
+    suppressed = np.zeros(prob.size, dtype=bool)
+    for c in sorted(range(prob.size), key=lambda c: (-prob[c], candidates[c])):
+        if not suppressed[c]:
+            suppressed |= near[c]
+    out.prob[candidates[suppressed], 0] = 0.0
     return out

@@ -38,7 +38,6 @@ from .losses import (
     _l1,
     _pairs,
     _widths,
-    ordered_active_layer1,
     second_layer_mask,
     weak_residuals,
 )
@@ -124,23 +123,20 @@ def bev_row_widths(tensor: AnchorTensor, mask: np.ndarray | None = None):
     """Per-step lateral gaps between laterally adjacent active layer-1 lanes.
 
     Gaps are plain differences of flat-ground x at the same step, the quantity
-    the closed form needs; both anchors must be visible at the step.  Returns
+    the closed form needs; both anchors must be visible at the step.  The
+    pairs are the weak losses' pairs: none touches a masked lane.  Returns
     (widths (P, Y), valid (P, Y), pairs) like the 3D width profile.
     """
     if mask is None:
         mask = second_layer_mask(tensor)
-    order = [i for i in ordered_active_layer1(tensor) if not mask[i]]
-    if len(order) < 2:
-        raise InvalidInputError("need at least two active unmasked lanes")
+    prev, cur = _pairs(tensor, mask)
+    if prev.size == 0:
+        raise InvalidInputError("need two adjacent active unmasked lanes")
     abs_x = tensor.abs_x()
     vis = tensor.vis >= VIS_DECODE_THRESHOLD
-    pairs = list(zip(order[:-1], order[1:]))
-    widths = np.empty((len(pairs), tensor.grid.n_steps))
-    valid = np.empty((len(pairs), tensor.grid.n_steps), dtype=bool)
-    for p, (a, b) in enumerate(pairs):
-        widths[p] = np.abs(abs_x[b, 0] - abs_x[a, 0])
-        valid[p] = vis[a, 0] & vis[b, 0]
-    return widths, valid, pairs
+    widths = np.abs(abs_x[cur, 0] - abs_x[prev, 0])
+    valid = vis[prev, 0] & vis[cur, 0]
+    return widths, valid, list(zip(prev.tolist(), cur.tolist()))
 
 
 def closed_form_z(

@@ -373,15 +373,21 @@ def resample_bev_with_z(lane: LaneBEV, y_grid):
 def resample_lane3d_xz(lane: Lane3D, y_grid):
     """Sample x and z of a 3D lane over 3D y.  Returns (x, z, visible)."""
     x, visible = resample_at_y(lane, y_grid)
-    z, _ = _interp_with_visibility(lane.y, lane.z, np.ones(len(lane), bool), y_grid)
+    z = np.interp(np.asarray(y_grid, dtype=float), lane.y, lane.z)
     return x, np.where(visible, z, 0.0), visible
 
 
-def point_line_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Exact distance from point p to the infinite 3D line through a and b."""
-    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
-    d = b - a
-    norm = np.linalg.norm(d)
-    if norm < 1e-15:
-        raise InvalidInputError("line through coincident points is undefined")
-    return float(np.linalg.norm(np.cross(p - a, d)) / norm)
+def masked_row_sums(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per-row sums (R,) of values (R, Y) over keep (R, Y).
+
+    Each row's kept entries are summed on their own, led by the 0.0 that
+    ndarray.sum starts from, so row r equals values[r][keep[r]].sum() bit for
+    bit; a row with nothing kept sums to 0.0.
+    """
+    n_rows, n_cols = keep.shape
+    segment = np.ones((n_rows, n_cols + 1), dtype=bool)
+    segment[:, 1:] = keep
+    padded = np.zeros(segment.shape)
+    padded[:, 1:] = values
+    counts = segment.sum(axis=1)
+    return np.add.reduceat(padded[segment], np.cumsum(counts) - counts)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .anchors import PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD, AnchorTensor
 from .errors import DegenerateSegmentError, InvalidInputError
-from .geometry import CameraPose
+from .geometry import CameraPose, masked_row_sums
 
 _BCE_EPS = 1e-7
 _TINY = 1e-15
@@ -219,19 +219,12 @@ def _height_rows(tensor: AnchorTensor, prev: np.ndarray, cur: np.ndarray, includ
 def _pairwise_total(terms: np.ndarray, keep: np.ndarray) -> float:
     """Sum of terms (P, Y) over keep: per pair, then the pair sums left to right.
 
-    Each pair's kept terms are summed on their own, led by the 0.0 that
-    ndarray.sum starts from, so a loss equals the sum of its pairs' losses
-    bit for bit, however many pairs share the batch.
+    Summing each pair on its own keeps a loss equal to the sum of its pairs'
+    losses bit for bit, however many pairs share the batch.
     """
-    n_pairs, n_steps = keep.shape
-    if n_pairs == 0:
+    if keep.shape[0] == 0:
         return 0.0
-    segment = np.ones((n_pairs, n_steps + 1), dtype=bool)
-    segment[:, 1:] = keep
-    padded = np.zeros(segment.shape)
-    padded[:, 1:] = terms
-    counts = segment.sum(axis=1)
-    return float(np.add.reduceat(padded[segment], np.cumsum(counts) - counts).cumsum()[-1])
+    return float(masked_row_sums(terms, keep).cumsum()[-1])
 
 
 def _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, spread=None):

@@ -1,9 +1,10 @@
 """Lane-level evaluation: assignment, F-score, AP, localization error, chamfer.
 
-Lanes are compared after resampling onto a fixed forward-distance grid; a
-prediction matches a ground-truth lane when at least 75 percent of the points
-on their mutual span lie within 1.5 m (x-z distance at equal y).  One-to-one
-assignment picks the cheapest consistent pairing.  Localization errors are
+Lanes are compared after resampling onto a fixed forward-distance grid, once
+per lane; a prediction matches a ground-truth lane when at least 75 percent of
+the points on their mutual span lie within 1.5 m (x-z distance at equal y).
+One-to-one assignment on one cost matrix over all pairs picks the cheapest
+consistent pairing.  Localization errors are
 pooled per point over matched pairs and split at 40 m into a near and a far
 band.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Lane3D, resample_lane3d_xz
+from .geometry import Lane3D, masked_row_sums, resample_lane3d_xz
 
 _FORBIDDEN = 1e9  # large finite cost; keeps the assignment solver happy
 
@@ -84,49 +85,62 @@ class EvalResult:
         }
 
 
-def _sampled(lanes: list[Lane3D], grid: np.ndarray):
-    return [resample_lane3d_xz(lane, grid) for lane in lanes]
+def _resampled(lanes: list[Lane3D], grid: np.ndarray):
+    """(x, z, visible), each (L, Y): every lane resampled once onto the grid."""
+    x = np.empty((len(lanes), grid.size))
+    z = np.empty_like(x)
+    visible = np.empty(x.shape, dtype=bool)
+    for k, lane in enumerate(lanes):
+        x[k], z[k], visible[k] = resample_lane3d_xz(lane, grid)
+    return x, z, visible
 
 
-def _pair_cost(pred_s, gt_s, cfg: EvalConfig) -> tuple[float, int]:
-    """(assignment cost, overlap count); cost is _FORBIDDEN when unmatchable."""
+def _cost_matrix(pred_s, gt_s, cfg: EvalConfig):
+    """(assignment cost, overlap count), both (P, G); cost is _FORBIDDEN when unmatchable.
+
+    A pair is matchable with at least min_overlap_points mutually visible
+    steps, match_frac of them within match_dist_m; its cost is the mean x-z
+    distance over those steps.
+    """
     xp, zp, vp = pred_s
     xg, zg, vg = gt_s
-    mutual = vp & vg
-    n = int(mutual.sum())
-    if n < cfg.min_overlap_points:
-        return _FORBIDDEN, n
-    dist = np.hypot(xp[mutual] - xg[mutual], zp[mutual] - zg[mutual])
-    if (dist <= cfg.match_dist_m).mean() < cfg.match_frac:
-        return _FORBIDDEN, n
-    return float(dist.mean()), n
+    mutual = vp[:, None] & vg[None]
+    dist = np.hypot(xp[:, None] - xg[None], zp[:, None] - zg[None])
+    overlap = mutual.sum(axis=-1)
+    close = (mutual & (dist <= cfg.match_dist_m)).sum(axis=-1)
+    ok = overlap >= cfg.min_overlap_points
+    ok[ok] = close[ok] / overlap[ok] >= cfg.match_frac
+    cost = np.full(overlap.shape, _FORBIDDEN)
+    cost[ok] = masked_row_sums(dist[ok], mutual[ok]) / overlap[ok]
+    return cost, overlap
+
+
+def _assign(cost: np.ndarray):
+    """(rows, cols) of the matchable pairs in a minimum-cost one-to-one assignment."""
+    # imported here: scipy.optimize is most of `import bevlane` otherwise
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] < _FORBIDDEN
+    return rows[keep], cols[keep]
+
+
+def _matches(cost: np.ndarray, overlap: np.ndarray) -> list[LaneMatch]:
+    rows, cols = _assign(cost)
+    matches = [
+        LaneMatch(gt_index=int(j), pred_index=int(i), cost=float(cost[i, j]), n_overlap=int(overlap[i, j]))
+        for i, j in zip(rows, cols)
+    ]
+    matches.sort(key=lambda m: m.gt_index)
+    return matches
 
 
 def match_lanes(
     preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()
 ) -> list[LaneMatch]:
     """One-to-one minimum-cost assignment between predictions and ground truth."""
-    # imported here: scipy.optimize is most of `import bevlane` otherwise
-    from scipy.optimize import linear_sum_assignment
-
-    if not preds or not gts:
-        return []
     grid = cfg.y_grid()
-    pred_s = _sampled(preds, grid)
-    gt_s = _sampled(gts, grid)
-    cost = np.empty((len(preds), len(gts)))
-    overlap = np.empty((len(preds), len(gts)), dtype=int)
-    for i, ps in enumerate(pred_s):
-        for j, gs in enumerate(gt_s):
-            cost[i, j], overlap[i, j] = _pair_cost(ps, gs, cfg)
-    rows, cols = linear_sum_assignment(cost)
-    matches = [
-        LaneMatch(gt_index=int(j), pred_index=int(i), cost=float(cost[i, j]), n_overlap=int(overlap[i, j]))
-        for i, j in zip(rows, cols)
-        if cost[i, j] < _FORBIDDEN
-    ]
-    matches.sort(key=lambda m: m.gt_index)
-    return matches
+    return _matches(*_cost_matrix(_resampled(preds, grid), _resampled(gts, grid), cfg))
 
 
 def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -144,30 +158,30 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (float(near_a.mean()) + float(near_b.mean()))
 
 
-def _lane_points(lane_s, grid: np.ndarray) -> np.ndarray:
-    x, z, v = lane_s
+def _lane_points(lanes_s, k: int, grid: np.ndarray) -> np.ndarray:
+    x, z, v = (a[k] for a in lanes_s)
     return np.stack([x[v], grid[v], z[v]], axis=-1)
 
 
 def _pooled_errors(matches, pred_s, gt_s, grid, cfg):
+    rows = [m.pred_index for m in matches]
+    cols = [m.gt_index for m in matches]
+    xp, zp, vp = (a[rows] for a in pred_s)
+    xg, zg, vg = (a[cols] for a in gt_s)
+    mutual = vp & vg
     near = grid <= cfg.near_far_split_m
-    bins = {"x_near": [], "x_far": [], "z_near": [], "z_far": []}
-    for m in matches:
-        xp, zp, vp = pred_s[m.pred_index]
-        xg, zg, vg = gt_s[m.gt_index]
-        mutual = vp & vg
-        dx = np.abs(xp - xg)
-        dz = np.abs(zp - zg)
-        bins["x_near"].append(dx[mutual & near])
-        bins["x_far"].append(dx[mutual & ~near])
-        bins["z_near"].append(dz[mutual & near])
-        bins["z_far"].append(dz[mutual & ~near])
+    dx = np.abs(xp - xg)
+    dz = np.abs(zp - zg)
 
-    def pooled(chunks):
-        flat = np.concatenate(chunks) if chunks else np.empty(0)
+    def pooled(err, band):
+        flat = err[mutual & band]  # match by match, as the matches are listed
         return float(flat.mean()) if flat.size else 0.0
 
-    return {k: pooled(v) for k, v in bins.items()}
+    return {
+        f"{axis}_{band}": pooled(err, keep)
+        for axis, err in (("x", dx), ("z", dz))
+        for band, keep in (("near", near), ("far", ~near))
+    }
 
 
 def _counts_to_pr(tp: int, n_pred: int, n_gt: int) -> tuple[float, float, float]:
@@ -177,18 +191,20 @@ def _counts_to_pr(tp: int, n_pred: int, n_gt: int) -> tuple[float, float, float]
     return precision, recall, f1
 
 
-def _average_precision(preds, gts, probs, cfg) -> float:
-    if not gts:
-        return 100.0 if not preds else 0.0
-    if not preds:
+def _average_precision(cost: np.ndarray, probs: list[float]) -> float:
+    """AP from one assignment per distinct probability, on row subsets of `cost`."""
+    n_pred, n_gt = cost.shape
+    if not n_gt:
+        return 100.0 if not n_pred else 0.0
+    if not n_pred:
         return 0.0
     ap = 0.0
     recall_prev = 0.0
     for t in sorted(set(probs), reverse=True):
-        kept = [lane for lane, p in zip(preds, probs) if p >= t]
-        tp = len(match_lanes(kept, gts, cfg))
-        precision = tp / len(kept) if kept else 0.0
-        recall = tp / len(gts)
+        rows = [i for i, p in enumerate(probs) if p >= t]
+        tp = len(_assign(cost[rows])[0])
+        precision = tp / len(rows) if rows else 0.0
+        recall = tp / n_gt
         ap += (recall - recall_prev) * precision
         recall_prev = recall
     return 100.0 * ap
@@ -206,27 +222,17 @@ def evaluate(
     if len(pred_probs) != len(preds):
         raise InvalidInputError("pred_probs must align with preds")
     grid = cfg.y_grid()
-    matches = match_lanes(preds, gts, cfg)
+    pred_s, gt_s = _resampled(preds, grid), _resampled(gts, grid)
+    cost, overlap = _cost_matrix(pred_s, gt_s, cfg)
+    matches = _matches(cost, overlap)
     precision, recall, f1 = _counts_to_pr(len(matches), len(preds), len(gts))
-    ap = _average_precision(preds, gts, list(pred_probs), cfg)
-
-    pred_s = _sampled(preds, grid)
-    gt_s = _sampled(gts, grid)
+    ap = _average_precision(cost, list(pred_probs))
     errors = _pooled_errors(matches, pred_s, gt_s, grid, cfg)
-    if matches:
-        chamfer = float(
-            np.mean(
-                [
-                    chamfer_distance(
-                        _lane_points(pred_s[m.pred_index], grid),
-                        _lane_points(gt_s[m.gt_index], grid),
-                    )
-                    for m in matches
-                ]
-            )
-        )
-    else:
-        chamfer = 0.0
+    chamfers = [
+        chamfer_distance(_lane_points(pred_s, m.pred_index, grid), _lane_points(gt_s, m.gt_index, grid))
+        for m in matches
+    ]
+    chamfer = float(np.mean(chamfers)) if matches else 0.0
     return EvalResult(
         precision=precision,
         recall=recall,

