@@ -118,7 +118,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     sample = make_scene(spec)
-    if args.perturb_pitch_deg > 0:
+    if args.perturb_pitch_deg != 0:  # 0 skips; anything else meets perturb_pitch's range check
         sample = perturb_pitch(sample, args.perturb_pitch_deg, args.perturb_seed)
     write_lane_file(args.out, lane_file_from_sample(sample))
     _print_json(

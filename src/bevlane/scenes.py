@@ -39,6 +39,9 @@ from .geometry import (
 PROFILES = ("flat", "uphill", "downhill", "bend", "fork", "curb")
 _SNAP_JITTER_M = 0.05
 _MAX_PERTURB_DEG = 5.0
+# (y_end - y_start) / point_spacing_m above this is refused: the fine grid of
+# every lane would hold more samples than any scene needs (the default is 196)
+_MAX_LANE_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,13 @@ class SceneSpec:
     pixel_jitter_px: float = 0.0
     seed: int = 0
     anchor_grid: AnchorGridSpec | None = None
+
+
+_NUMERIC_FIELDS = (
+    "lane_width_m", "grade", "bend_radius_m", "bend_arc_deg", "gap_m", "fork_divergence",
+    "crown_slope", "pitch_rad", "height_m", "y_start", "y_end", "point_spacing_m",
+    "pixel_jitter_px",
+)
 
 
 @dataclass
@@ -93,15 +103,17 @@ class SceneSample:
     lanes_bev: list[LaneBEV]
     lanes_2d: list[np.ndarray]
 
-    def ground_z(self, y) -> np.ndarray:
-        """Elevation of the (lateral-level part of the) road at forward distance y."""
-        c0, c1, c2 = self.resolved.grade
-        y = np.asarray(y, dtype=float)
-        return c0 + c1 * y + c2 * y * y
-
     @property
     def true_pitch_rad(self) -> float:
         return self.pose.pitch_rad
+
+
+def _require_finite(spec: SceneSpec) -> None:
+    """Every numeric knob that is set must be finite (None keeps the profile default)."""
+    for name in _NUMERIC_FIELDS:
+        value = getattr(spec, name)
+        if value is not None and not np.isfinite(value).all():
+            raise InvalidSpecError(f"{name} must be finite, got {value!r}")
 
 
 def _validate_spec(spec: SceneSpec) -> None:
@@ -109,12 +121,21 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise InvalidSpecError(f"unknown profile {spec.profile!r}; choose from {PROFILES}")
     if spec.lane_count < 2:
         raise InvalidSpecError("need at least two lane lines")
+    _require_finite(spec)
     if spec.lane_width_m <= 0:
         raise InvalidSpecError("lane width must be positive")
     if not (0 < spec.y_start < spec.y_end):
         raise InvalidSpecError("require 0 < y_start < y_end")
     if spec.point_spacing_m <= 0:
         raise InvalidSpecError("point spacing must be positive")
+    if (spec.y_end - spec.y_start) / spec.point_spacing_m > _MAX_LANE_SAMPLES:
+        raise InvalidSpecError(
+            f"(y_end - y_start) / point_spacing_m exceeds {_MAX_LANE_SAMPLES} samples per lane"
+        )
+    if spec.height_m <= 0:
+        raise InvalidSpecError("camera height must be positive")
+    if spec.pixel_jitter_px < 0:
+        raise InvalidSpecError("pixel jitter must be >= 0")
     if spec.bend_radius_m is not None and spec.bend_radius_m < 30:
         raise InvalidSpecError("bend radius below 30 m is outside the supported regime")
     if not (0 < spec.bend_arc_deg < 89):
@@ -210,7 +231,11 @@ def _flat_y(y, z, h):
 def _preimages_of_flat_y(targets, z_of_y, h: float, lo: float, hi: float) -> np.ndarray:
     """Solve y * h / (h - z(y)) = t for every target t in [lo, hi] by bisection.
 
-    All targets are bisected together; targets outside the span come back NaN.
+    All targets are bisected together from the full [lo, hi] bracket;
+    targets outside the span come back NaN.  The loop stops at the float
+    fixpoint, the first round that would move no bracket end: every later
+    round would repeat the same midpoints, so the result equals that of
+    running all 90 rounds, which stay the hard bound.
     """
     t = np.asarray(targets, dtype=float)
     lo = np.full(t.shape, lo)
@@ -223,6 +248,8 @@ def _preimages_of_flat_y(targets, z_of_y, h: float, lo: float, hi: float) -> np.
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         below = f(mid) < 0
+        if (np.where(below, lo, hi) == mid).all():  # no bracket end would move
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return np.where(outside, np.nan, 0.5 * (lo + hi))
@@ -234,14 +261,16 @@ def _sample_nodes(spec: SceneSpec, grid: AnchorGridSpec, z_of_y, h: float) -> np
     return np.unique(np.concatenate([fine, [spec.y_end], rows[~np.isnan(rows)]]))
 
 
-def _build_lane(spec: SceneSpec, grid, x_of_y, z_of_y, crown: float, h: float) -> Lane3D:
+def _build_lane(spec: SceneSpec, grid, x_of_y, z_of_y, crown: float, h: float, nodes) -> Lane3D:
+    """One lane; `nodes` are the y samples shared by every uncrowned lane, None when crowned."""
+
     def surface_z(y):
         z = z_of_y(y)
         if crown > 0:
             z = z - crown * np.abs(x_of_y(y))
         return z
 
-    y = _sample_nodes(spec, grid, surface_z, h)
+    y = _sample_nodes(spec, grid, surface_z, h) if nodes is None else nodes
     x = x_of_y(y)
     z = np.asarray(surface_z(y), dtype=float)
     if np.any(z >= h):
@@ -289,10 +318,13 @@ def make_scene(spec: SceneSpec = SceneSpec()) -> SceneSample:
         resolved.lane_offsets = resolved.lane_offsets + shift
         resolved.lateral_shift += shift
 
+    # without a crown every lane lies on the one surface z(y), so its anchor
+    # rows have the same pre-images: bisect them once for the whole scene
+    nodes = None if spec.crown_slope > 0 else _sample_nodes(spec, grid, z_of_y, h)
     lanes3d: list[Lane3D] = []
     for offset in resolved.lane_offsets:
         x_of_y = _lateral_fn(resolved, float(offset))
-        lanes3d.append(_build_lane(spec, grid, x_of_y, z_of_y, spec.crown_slope, h))
+        lanes3d.append(_build_lane(spec, grid, x_of_y, z_of_y, spec.crown_slope, h, nodes))
 
     if resolved.branch_of is not None:
         base_fn = _lateral_fn(resolved, float(resolved.lane_offsets[resolved.branch_of]))
@@ -302,7 +334,7 @@ def make_scene(spec: SceneSpec = SceneSpec()) -> SceneSample:
             y = np.asarray(y, dtype=float)
             return base_fn(y) + resolved.gap_m + div * (y - spec.y_start)
 
-        lanes3d.append(_build_lane(spec, grid, branch_x, z_of_y, spec.crown_slope, h))
+        lanes3d.append(_build_lane(spec, grid, branch_x, z_of_y, spec.crown_slope, h, nodes))
 
     lanes_bev = [lane_bev_from_lane3d(lane, h) for lane in lanes3d]
     lanes_2d = _render_image_lanes(lanes3d, spec.intrinsics, pose, spec.pixel_jitter_px, rng)

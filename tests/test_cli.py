@@ -264,6 +264,28 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--y-end", "inf"],
+        ["--spacing", "nan"],
+        ["--spacing", "1e-9"],
+        ["--jitter-px", "nan"],
+        ["--jitter-px", "-1"],
+        ["--crown", "nan"],
+        ["--perturb-pitch-deg", "nan"],
+        ["--perturb-pitch-deg", "-1"],
+        ["--profile", "fork", "--gap", "inf"],
+    ],
+)
+def test_synth_rejects_bad_numbers(capsys, tmp_path, flags):
+    out = tmp_path / "o.json"
+    code = main(["synth", *flags, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under malformed lane files
 

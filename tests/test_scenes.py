@@ -10,6 +10,7 @@ from bevlane import (
     perturb_pitch,
     project_points3_to_image,
 )
+from bevlane import scenes
 from bevlane.errors import InvalidSpecError
 
 PROFILES = ("flat", "uphill", "downhill", "bend", "fork", "curb")
@@ -57,8 +58,9 @@ def test_pixel_jitter_perturbs_but_stays_seeded():
 
 
 def test_lane_heights_follow_ground_profile(downhill_scene):
+    c0, c1, c2 = downhill_scene.resolved.grade
     for lane in downhill_scene.lanes3d:
-        np.testing.assert_allclose(lane.z, downhill_scene.ground_z(lane.y), atol=1e-12)
+        np.testing.assert_allclose(lane.z, c0 + c1 * lane.y + c2 * lane.y * lane.y, atol=1e-12)
 
 
 def test_flat_profile_is_straight_and_level(flat_scene):
@@ -145,6 +147,67 @@ def test_anchor_row_preimages_are_vertices(uphill_scene):
                 assert np.min(np.abs(lane.y_flat - step)) < 1e-9
 
 
+def _reference_preimages(targets, z_of_y, h, lo, hi):
+    """The bisection as it was before the fixpoint exit: always 90 rounds."""
+    t = np.asarray(targets, dtype=float)
+    lo = np.full(t.shape, lo)
+    hi = np.full(t.shape, hi)
+
+    def f(y):
+        return y * h / (h - z_of_y(y)) - t
+
+    outside = (f(lo) > 0) | (f(hi) < 0)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(outside, np.nan, 0.5 * (lo + hi))
+
+
+def _record_bisections(monkeypatch):
+    """Record (arguments, result) of every pre-image bisection make_scene runs."""
+    calls = []
+    bisect = scenes._preimages_of_flat_y
+
+    def spy(*args):
+        out = bisect(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(scenes, "_preimages_of_flat_y", spy)
+    return calls
+
+
+@pytest.mark.parametrize("crown", [0.0, 0.02])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_preimages_equal_90_round_reference(monkeypatch, profile, crown):
+    calls = _record_bisections(monkeypatch)
+    for seed in (0, 7):
+        make_scene(SceneSpec(profile=profile, crown_slope=crown, seed=seed))
+    rows = [out for args, out in calls if np.ndim(args[0]) == 1]
+    assert rows and all(np.isnan(out).any() for out in rows)  # step 0 lies before y_start
+    for args, out in calls:
+        np.testing.assert_array_equal(out, _reference_preimages(*args), strict=True)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_anchor_rows_are_bisected_once_per_surface(monkeypatch, profile):
+    calls = _record_bisections(monkeypatch)
+    plain = make_scene(SceneSpec(profile=profile, seed=5))
+    assert sum(np.ndim(args[0]) == 1 for args, _ in calls) == 1
+    calls.clear()
+    crowned = make_scene(SceneSpec(profile=profile, crown_slope=0.02, seed=5))
+    assert sum(np.ndim(args[0]) == 1 for args, _ in calls) == len(crowned.lanes3d)
+    assert len(crowned.lanes3d) == len(plain.lanes3d)
+    # each crowned lane sits on its own surface, so its own pre-images are its vertices
+    steps = AnchorGridSpec.default().y_steps_array()
+    for lane in crowned.lanes_bev:
+        inside = steps[(steps >= lane.y_flat[0]) & (steps <= lane.y_flat[-1])]
+        assert inside.size > 10
+        assert np.abs(lane.y_flat[:, None] - inside).min(axis=0).max() < 1e-9
+
+
 def test_too_tall_ground_raises():
     with pytest.raises(InvalidSpecError):
         make_scene(SceneSpec(profile="uphill", grade=(0.0, 0.02, 0.0), seed=0))
@@ -176,6 +239,26 @@ def test_sharp_bend_raises():
         {"bend_arc_deg": 90.0},
         {"profile": "fork", "gap_m": -0.1},
         {"crown_slope": -0.01},
+        {"crown_slope": math.nan},
+        {"crown_slope": math.inf},
+        {"y_end": math.inf},
+        {"y_start": math.nan},
+        {"point_spacing_m": math.nan},
+        {"point_spacing_m": math.inf},
+        {"point_spacing_m": 1e-9},  # a 1e11-sample lane: refused by the sample cap
+        {"y_end": 1e6},
+        {"pixel_jitter_px": math.nan},
+        {"pixel_jitter_px": -1.0},
+        {"lane_width_m": math.nan},
+        {"grade": (0.0, math.nan, 0.0)},
+        {"height_m": math.nan},
+        {"height_m": 0.0},
+        {"pitch_rad": math.inf},
+        {"profile": "bend", "bend_radius_m": math.inf},
+        {"bend_radius_m": math.nan},
+        {"bend_arc_deg": math.nan},
+        {"profile": "fork", "gap_m": math.inf},
+        {"profile": "fork", "fork_divergence": math.nan},
     ],
 )
 def test_spec_validation(kwargs):
