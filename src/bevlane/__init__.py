@@ -16,7 +16,7 @@ from .anchors import (
     encode_gt,
     nms,
 )
-from .calibration import CalibConfig, CalibrationResult, calibrate_pitch, fit_near_line
+from .calibration import CalibConfig, CalibrationResult, calibrate_pitch
 from .errors import (
     BehindCameraError,
     DegenerateProjectionError,
@@ -28,7 +28,6 @@ from .errors import (
     InvalidLaneError,
     InvalidSpecError,
     LaneError,
-    NoGroundIntersectionError,
     NumericError,
 )
 from .fit import (
@@ -41,21 +40,13 @@ from .fit import (
 )
 from .geometry import (
     DEFAULT_INTRINSICS,
-    DEFAULT_POSE,
-    BevPoint,
     CameraPose,
     Intrinsics,
     Lane3D,
     LaneBEV,
-    PixelPoint,
-    Point3,
     flat_from_image_points,
     flat_from_points3,
-    flat_to_image,
-    image_to_flat,
     lane_bev_from_lane3d,
-    lift_flat_to_3d,
-    project_3d_to_flat,
     project_points3_to_image,
     resample_at_y,
     resample_bev_with_z,
@@ -72,10 +63,9 @@ from .losses import (
     total_sup,
     total_ws,
     width_loss,
-    width_profile_3d,
     z_loss,
 )
-from .metrics import EvalConfig, EvalResult, chamfer_distance, evaluate, match_lanes
+from .metrics import EvalConfig, EvalResult, chamfer_distance, evaluate
 from .plot import render_svg, write_svg
 from .scenes import SceneSample, SceneSpec, make_scene, perturb_pitch
 

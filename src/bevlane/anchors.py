@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidLaneError, InvalidSpecError
+from .errors import InvalidInputError, InvalidLaneError, InvalidSpecError, require_finite
 from .geometry import CameraPose, Lane3D, LaneBEV, masked_row_sums, resample_at_y, resample_bev_with_z
 
 log = logging.getLogger(__name__)
@@ -143,6 +143,13 @@ class NmsConfig:
 
     d_thresh: float = 0.05
     prob_floor: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self, ("d_thresh", "prob_floor"))
+        if self.d_thresh < 0:
+            raise InvalidInputError("d_thresh must be >= 0")
+        if not 0 <= self.prob_floor <= 1:
+            raise InvalidInputError("prob_floor must lie in [0, 1]")
 
 
 @dataclass

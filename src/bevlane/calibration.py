@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, InsufficientPointsError, InvalidInputError
-from .geometry import CameraPose, Intrinsics, LaneBEV, flat_from_image_points
+from .errors import IllConditionedError, InsufficientPointsError, InvalidInputError, require_finite
+from .geometry import CameraPose, Intrinsics, flat_from_image_points
 
 MIN_INTERCEPT_GAP_M = 0.2
 
@@ -37,10 +37,13 @@ class CalibConfig:
     tol_rad: float = 1e-9
 
     def __post_init__(self):
+        require_finite(self, ("y_close_m", "max_iters", "tol_rad"))
         if self.y_close_m <= 0:
             raise InvalidInputError("y_close must be positive")
         if self.max_iters < 1:
             raise InvalidInputError("need at least one iteration")
+        if self.tol_rad < 0:
+            raise InvalidInputError("tol_rad must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,6 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> FittedLine:
     k, c = np.polyfit(y, x, 1)
     residual = float(np.sqrt(np.mean((k * y + c - x) ** 2)))
     return FittedLine(float(k), float(c), int(x.size), residual)
-
-
-def fit_near_line(lane: LaneBEV, y_close_m: float = 10.0) -> FittedLine:
-    """Fit the near-field of one flat-ground lane as x = k*y + c."""
-    near = lane.visibility & (lane.y_flat > 0) & (lane.y_flat < y_close_m)
-    if near.sum() < 2:
-        raise InsufficientPointsError(
-            f"lane has {int(near.sum())} near points below y={y_close_m}; need >= 2"
-        )
-    return _fit_line(lane.x_flat[near], lane.y_flat[near])
 
 
 def _pair_pitch(left: FittedLine, right: FittedLine, h: float) -> float:

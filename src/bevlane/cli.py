@@ -59,12 +59,16 @@ def _print_json(obj) -> None:
 
 
 def _write_json(path, obj) -> None:
+    text = dumps_json(obj) + "\n"  # before opening: a refused number leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj) + "\n")
+        fh.write(text)
 
 
-def _weights_arg(text: str) -> LossWeights:
-    """Parse 'bev=1,width=2' style overrides of the loss weights."""
+def _weights_arg(text: str) -> dict[str, float]:
+    """Parse 'bev=1,width=2' style overrides of the loss weights.
+
+    `cmd_loss` builds the LossWeights: argparse would report its range error
+    as a usage error (64) rather than as invalid input (2)."""
     fields = {}
     if text:
         for part in text.split(","):
@@ -78,7 +82,7 @@ def _weights_arg(text: str) -> LossWeights:
                 fields[name] = float(value)
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(f"bad value for {name!r}: {value!r}") from exc
-    return LossWeights(**fields)
+    return fields
 
 
 def _load(path) -> LaneFile:
@@ -176,6 +180,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    weights = LossWeights(**args.weights)
     pred_lf = _load(args.pred)
     gt_lf = _load(args.gt)
     _require(pred_lf.anchors is not None, "prediction file carries no anchors")
@@ -196,14 +201,14 @@ def cmd_loss(args) -> int:
             pred_lf.anchors,
             gt_lf.anchors,
             pose,
-            args.weights,
+            weights,
             normalize=args.normalize,
             smooth_delta=args.smooth_delta,
             **pitch_pair,
         )
     else:
         breakdown = total_sup(
-            pred_lf.anchors, gt_lf.anchors, args.weights, normalize=args.normalize, **pitch_pair
+            pred_lf.anchors, gt_lf.anchors, weights, normalize=args.normalize, **pitch_pair
         )
     _print_json(breakdown.as_dict())
     return EXIT_OK
@@ -348,7 +353,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--mode", choices=("weak", "sup"), default="weak")
-    p.add_argument("--weights", type=_weights_arg, default=LossWeights())
+    p.add_argument("--weights", type=_weights_arg, default={})
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--smooth-delta", type=float, default=None)
     p.add_argument("--pred-pitch-deg", type=float, default=None)

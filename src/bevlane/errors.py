@@ -4,7 +4,10 @@ Everything that indicates bad user input or geometrically impossible data
 derives from LaneError (a ValueError), so callers can catch one base class.
 Numeric failures of iterative procedures derive from NumericError instead:
 they mean the computation was well posed but did not succeed.
+`require_finite` is the finiteness check every config shares.
 """
+
+import numpy as np
 
 
 class LaneError(ValueError):
@@ -13,10 +16,6 @@ class LaneError(ValueError):
 
 class DegenerateProjectionError(LaneError):
     """3D point at or above the camera height; flat-ground projection undefined."""
-
-
-class NoGroundIntersectionError(LaneError):
-    """Pixel ray at or above the horizon never meets the ground plane."""
 
 
 class BehindCameraError(LaneError):
@@ -41,6 +40,14 @@ class InvalidSpecError(LaneError):
 
 class InvalidInputError(LaneError):
     """Numeric input outside the documented domain."""
+
+
+def require_finite(obj, names, error=InvalidInputError) -> None:
+    """Every named numeric field of obj that is set must be finite (None means unset)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.isfinite(value).all():
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 class NumericError(RuntimeError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorTensor, PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD
-from .errors import DivergedError, InvalidInputError, NumericError
+from .errors import DivergedError, InvalidInputError, NumericError, require_finite
 from .geometry import CameraPose
 from .losses import (
     LossWeights,
@@ -89,6 +89,7 @@ class FitConfig:
     include_first_step: bool = False
 
     def __post_init__(self):
+        require_finite(self, ("max_steps", "tol", "smooth_delta", "continuation_delta"))
         if self.max_steps < 1:
             raise InvalidInputError("max_steps must be positive")
         if self.tol < 0:

@@ -1,4 +1,4 @@
-"""Exact 3D <-> flat-ground projection, pinhole camera mapping, and lane polylines.
+"""Exact 3D -> flat-ground projection, pinhole camera mapping, and lane polylines.
 
 COORDINATE SYSTEM CONVENTIONS
     World frame (right-handed):
@@ -33,40 +33,7 @@ from .errors import (
     DegenerateProjectionError,
     InvalidInputError,
     InvalidLaneError,
-    NoGroundIntersectionError,
 )
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A world-frame point in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class BevPoint:
-    """A point on the flat ground plane z = 0, in meters."""
-
-    x_flat: float
-    y_flat: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_flat, self.y_flat], dtype=float)
-
-
-@dataclass(frozen=True)
-class PixelPoint:
-    """An image-plane point; in_frame tells whether it falls inside the sensor."""
-
-    u: float
-    v: float
-    in_frame: bool
 
 
 @dataclass(frozen=True)
@@ -110,7 +77,6 @@ class Intrinsics:
 
 
 DEFAULT_INTRINSICS = Intrinsics(fx=500.0, fy=500.0, cx=240.0, cy=180.0, image_w=480, image_h=360)
-DEFAULT_POSE = CameraPose(pitch_rad=0.0, height_m=1.5)
 
 
 def _as_polyline(points, width: int, name: str) -> np.ndarray:
@@ -133,10 +99,6 @@ class Lane3D:
             raise InvalidLaneError("Lane3D points must have strictly increasing y")
         self.points = pts
 
-    @classmethod
-    def from_points(cls, points: list[Point3]) -> "Lane3D":
-        return cls(np.array([[p.x, p.y, p.z] for p in points]))
-
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -151,9 +113,6 @@ class Lane3D:
     @property
     def z(self) -> np.ndarray:
         return self.points[:, 2]
-
-    def point(self, i: int) -> Point3:
-        return Point3(*self.points[i])
 
 
 class LaneBEV:
@@ -201,34 +160,10 @@ class LaneBEV:
 # flat-ground projection
 
 
-def project_3d_to_flat(p: Point3, h: float) -> BevPoint:
-    """Project a 3D point onto the flat ground plane through the camera center.
-
-    Both coordinates scale by h / (h - z); a point at half the camera height
-    lands twice as far out as its ground position.
-    """
-    if h <= 0:
-        raise InvalidInputError("camera height must be positive")
-    if p.z >= h:
-        raise DegenerateProjectionError(
-            f"point height {p.z} >= camera height {h}; ray never descends to the ground"
-        )
-    s = h / (h - p.z)
-    return BevPoint(p.x * s, p.y * s)
-
-
-def lift_flat_to_3d(p: BevPoint, z: float, h: float) -> Point3:
-    """Inverse of project_3d_to_flat given the point's true height z."""
-    if h <= 0:
-        raise InvalidInputError("camera height must be positive")
-    if z >= h:
-        raise DegenerateProjectionError(f"height {z} >= camera height {h}")
-    s = (h - z) / h
-    return Point3(p.x_flat * s, p.y_flat * s, z)
-
-
 def flat_from_points3(xyz: np.ndarray, h: float) -> np.ndarray:
-    """Vectorized flat-ground projection of an (N, 3) array."""
+    """Flat-ground projection of an (N, 3) array: x and y scale by h / (h - z)."""
+    if not h > 0:
+        raise InvalidInputError("camera height must be positive")
     xyz = np.asarray(xyz, dtype=float)
     if np.any(xyz[..., 2] >= h):
         raise DegenerateProjectionError("point height >= camera height")
@@ -256,36 +191,6 @@ def project_points3_to_image(xyz: np.ndarray, intr: Intrinsics, pose: CameraPose
     u = intr.fx * cam[..., 0] / z_cam + intr.cx
     v = intr.fy * cam[..., 1] / z_cam + intr.cy
     return np.stack([u, v], axis=-1)
-
-
-def flat_to_image(p: BevPoint, intr: Intrinsics, pose: CameraPose) -> PixelPoint:
-    """Project a flat-ground point into the image.
-
-    Returns the pixel even when it falls outside the sensor bounds; the
-    in_frame flag says which.  Points at or behind the camera plane raise.
-    """
-    if p.y_flat <= 0:
-        raise BehindCameraError(f"flat-ground point must have y_flat > 0, got {p.y_flat}")
-    uv = project_points3_to_image(np.array([[p.x_flat, p.y_flat, 0.0]]), intr, pose)[0]
-    in_frame = bool(0 <= uv[0] < intr.image_w and 0 <= uv[1] < intr.image_h)
-    return PixelPoint(float(uv[0]), float(uv[1]), in_frame)
-
-
-def image_to_flat(uv, intr: Intrinsics, pose: CameraPose) -> BevPoint:
-    """Back-project a pixel onto the ground plane z = 0.
-
-    Raises NoGroundIntersectionError for pixels at or above the horizon, whose
-    ray never descends.
-    """
-    u, v = float(uv[0]), float(uv[1])
-    d_cam = np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
-    d_world = pose.rotation_world_to_cam().T @ d_cam
-    if d_world[2] >= -1e-12:
-        raise NoGroundIntersectionError(
-            f"pixel ({u}, {v}) lies at or above the horizon for pitch {pose.pitch_rad}"
-        )
-    t = pose.height_m / -d_world[2]
-    return BevPoint(float(t * d_world[0]), float(t * d_world[1]))
 
 
 def flat_from_image_points(uv: np.ndarray, intr: Intrinsics, pose: CameraPose):

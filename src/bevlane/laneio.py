@@ -224,8 +224,9 @@ def dumps_lane_file(lf: LaneFile) -> str:
 
 
 def write_lane_file(path, lf: LaneFile) -> None:
+    text = dumps_lane_file(lf)  # before opening: a refused number leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_lane_file(lf))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ All L1 terms use the subgradient convention sign(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anchors import PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD, AnchorTensor
-from .errors import DegenerateSegmentError, InvalidInputError
+from .errors import DegenerateSegmentError, InvalidInputError, require_finite
 from .geometry import CameraPose, masked_row_sums
 
 _BCE_EPS = 1e-7
@@ -43,6 +43,12 @@ class LossWeights:
     height: float = 1.0
     z: float = 1.0
     pitch: float = 1.0
+
+    def __post_init__(self):
+        names = ("bev", "width", "height", "z", "pitch")
+        require_finite(self, names)
+        if any(getattr(self, name) < 0 for name in names):
+            raise InvalidInputError("loss weights must be >= 0")
 
 
 class LossGrads:
@@ -90,15 +96,6 @@ class LossBreakdown:
         }
 
 
-@dataclass
-class WidthProfile:
-    """Per adjacent-lane-pair, per-step 3D widths with validity flags."""
-
-    widths: np.ndarray  # (n_pairs, n_steps)
-    valid: np.ndarray  # (n_pairs, n_steps) bool
-    pairs: list[tuple[int, int]] = field(default_factory=list)  # (left anchor, right anchor)
-
-
 def second_layer_mask(tensor: AnchorTensor, threshold: float = PROB_ACTIVE_THRESHOLD) -> np.ndarray:
     """Per-anchor flag: True where the second layer is active.
 
@@ -122,6 +119,8 @@ def _l1(value: np.ndarray, smooth_delta: float | None):
     if smooth_delta is None:
         return np.abs(value), np.sign(value)
     d = smooth_delta
+    if not (math.isfinite(d) and d > 0):
+        raise InvalidInputError(f"smooth_delta must be positive and finite, got {d!r}")
     small = np.abs(value) < d
     loss = np.where(small, value * value / (2 * d), np.abs(value) - d / 2)
     grad = np.where(small, value / d, np.sign(value))
@@ -264,19 +263,6 @@ def lane_width(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     if norm < 1e-12:
         raise DegenerateSegmentError("chord endpoints coincide")
     return float(np.linalg.norm(p - a) * math.hypot(d[1], d[2]) / norm)
-
-
-def width_profile_3d(tensor: AnchorTensor, pose: CameraPose) -> WidthProfile:
-    """3D widths between each adjacent pair of active layer-1 lanes.
-
-    Entries are valid only where the lane point and both chord endpoints are
-    visible.  Requires at least two active lanes.
-    """
-    prev, cur = _pairs(tensor)
-    if prev.size == 0:
-        raise InvalidInputError("width profile needs at least two active lanes")
-    widths, valid = _widths(tensor, pose, prev, cur)[:2]
-    return WidthProfile(widths, valid, list(zip(prev.tolist(), cur.tolist())))
 
 
 def width_loss(
@@ -434,6 +420,8 @@ def z_loss(
 
 def pitch_loss(pred_pitch_rad: float, calib_pitch_rad: float) -> float:
     """Absolute difference between predicted and self-calibrated pitch, radians."""
+    if not (math.isfinite(pred_pitch_rad) and math.isfinite(calib_pitch_rad)):
+        raise InvalidInputError("pitch values must be finite")
     return abs(float(pred_pitch_rad) - float(calib_pitch_rad))
 
 

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .geometry import Lane3D, masked_row_sums, resample_lane3d_xz
 
 _FORBIDDEN = 1e9  # large finite cost; keeps the assignment solver happy
+# (y_max - y_min) / y_step above this is refused; the default grid has 101 steps
+_MAX_GRID_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,14 @@ class EvalConfig:
     near_far_split_m: float = 40.0
 
     def __post_init__(self):
+        require_finite(self, ("y_min", "y_max", "y_step", "match_dist_m", "match_frac",
+                              "min_overlap_points", "near_far_split_m"))
         if not (0 <= self.y_min < self.y_max):
             raise InvalidInputError("require 0 <= y_min < y_max")
         if self.y_step <= 0 or self.match_dist_m <= 0:
             raise InvalidInputError("y_step and match_dist_m must be positive")
+        if (self.y_max - self.y_min) / self.y_step > _MAX_GRID_SAMPLES:
+            raise InvalidInputError(f"(y_max - y_min) / y_step exceeds {_MAX_GRID_SAMPLES} samples")
         if not (0 < self.match_frac <= 1):
             raise InvalidInputError("match_frac must lie in (0, 1]")
         if self.min_overlap_points < 1:
@@ -133,14 +139,6 @@ def _matches(cost: np.ndarray, overlap: np.ndarray) -> list[LaneMatch]:
     ]
     matches.sort(key=lambda m: m.gt_index)
     return matches
-
-
-def match_lanes(
-    preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()
-) -> list[LaneMatch]:
-    """One-to-one minimum-cost assignment between predictions and ground truth."""
-    grid = cfg.y_grid()
-    return _matches(*_cost_matrix(_resampled(preds, grid), _resampled(gts, grid), cfg))
 
 
 def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:

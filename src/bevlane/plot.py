@@ -178,5 +178,6 @@ def render_svg(gt: LaneFile, pred: LaneFile | None = None) -> str:
 
 
 def write_svg(path, gt: LaneFile, pred: LaneFile | None = None) -> None:
+    text = render_svg(gt, pred)  # before opening: a failed render leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(gt, pred))
+        fh.write(text)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorGridSpec
-from .errors import BehindCameraError, InvalidSpecError
+from .errors import BehindCameraError, InvalidSpecError, require_finite
 from .geometry import (
     DEFAULT_INTRINSICS,
     CameraPose,
@@ -103,25 +103,13 @@ class SceneSample:
     lanes_bev: list[LaneBEV]
     lanes_2d: list[np.ndarray]
 
-    @property
-    def true_pitch_rad(self) -> float:
-        return self.pose.pitch_rad
-
-
-def _require_finite(spec: SceneSpec) -> None:
-    """Every numeric knob that is set must be finite (None keeps the profile default)."""
-    for name in _NUMERIC_FIELDS:
-        value = getattr(spec, name)
-        if value is not None and not np.isfinite(value).all():
-            raise InvalidSpecError(f"{name} must be finite, got {value!r}")
-
 
 def _validate_spec(spec: SceneSpec) -> None:
     if spec.profile not in PROFILES:
         raise InvalidSpecError(f"unknown profile {spec.profile!r}; choose from {PROFILES}")
     if spec.lane_count < 2:
         raise InvalidSpecError("need at least two lane lines")
-    _require_finite(spec)
+    require_finite(spec, _NUMERIC_FIELDS, InvalidSpecError)  # None keeps the profile default
     if spec.lane_width_m <= 0:
         raise InvalidSpecError("lane width must be positive")
     if not (0 < spec.y_start < spec.y_end):
@@ -136,6 +124,8 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise InvalidSpecError("camera height must be positive")
     if spec.pixel_jitter_px < 0:
         raise InvalidSpecError("pixel jitter must be >= 0")
+    if spec.seed < 0:
+        raise InvalidSpecError("seed must be >= 0")
     if spec.bend_radius_m is not None and spec.bend_radius_m < 30:
         raise InvalidSpecError("bend radius below 30 m is outside the supported regime")
     if not (0 < spec.bend_arc_deg < 89):
@@ -372,6 +362,8 @@ def perturb_pitch(sample: SceneSample, range_deg: float, seed: int) -> SceneSamp
     """
     if not (0 <= range_deg <= _MAX_PERTURB_DEG):
         raise InvalidSpecError(f"perturbation range must lie in [0, {_MAX_PERTURB_DEG}] degrees")
+    if seed < 0:
+        raise InvalidSpecError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     delta = math.radians(float(rng.uniform(-range_deg, range_deg))) if range_deg > 0 else 0.0
     new_pose = CameraPose(pitch_rad=sample.pose.pitch_rad + delta, height_m=sample.pose.height_m)

@@ -24,6 +24,18 @@ def small_grid(n_anchors=8, y_steps=(0.0, 5.0, 10.0, 20.0)):
                           x_range=(-1.0, centers[-1] + 1.0), y_range=(0.0, 20.0))
 
 
+def test_nms_config_validation():
+    NmsConfig(d_thresh=0.0, prob_floor=0.0)  # edges accepted
+    NmsConfig(prob_floor=1.0)
+    for kwargs in ({"d_thresh": -0.01}, {"prob_floor": -0.1}, {"prob_floor": 1.5}):
+        with pytest.raises(InvalidInputError):
+            NmsConfig(**kwargs)
+    for name in ("d_thresh", "prob_floor"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidInputError, match=name):
+                NmsConfig(**{name: bad})
+
+
 def test_default_grid_shape():
     grid = AnchorGridSpec.default()
     assert grid.n_anchors == 26

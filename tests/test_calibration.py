@@ -7,9 +7,10 @@ from bevlane import (
     CalibConfig,
     CameraPose,
     DEFAULT_INTRINSICS,
-    LaneBEV,
+    SceneSpec,
     calibrate_pitch,
-    fit_near_line,
+    flat_from_image_points,
+    make_scene,
     perturb_pitch,
     project_points3_to_image,
 )
@@ -54,28 +55,43 @@ def test_fit_line_needs_two_points():
         _fit_line(np.array([1.0]), np.array([2.0]))
 
 
-def test_fit_near_line_uses_near_field_only():
-    y = np.array([1.0, 4.0, 8.0, 30.0, 60.0])
-    x = 0.01 * y + 2.0
-    x[3:] += 5.0  # far-field corruption must not matter
-    lane = LaneBEV(np.stack([x, y], axis=-1))
-    line = fit_near_line(lane, y_close_m=10.0)
-    assert line.k == pytest.approx(0.01, abs=1e-12)
-    assert line.c == pytest.approx(2.0, abs=1e-12)
-    assert line.n_points == 3
+def beyond_y_close(uv, pitch_rad, y_close_m, h=1.5):
+    """Rows of uv that back-project past y_close (or miss the ground) at the assumed pitch."""
+    flat, ok = flat_from_image_points(uv, DEFAULT_INTRINSICS, CameraPose(pitch_rad, h))
+    return ~ok | (flat[:, 1] >= y_close_m)
 
 
-def test_fit_near_line_insufficient():
-    lane = LaneBEV([[0.0, 20.0], [0.1, 30.0]])  # no points inside the near field
-    with pytest.raises(InsufficientPointsError):
-        fit_near_line(lane, y_close_m=10.0)
+def test_calibration_ignores_points_beyond_y_close():
+    for profile, seed, y_close_m in (("flat", 1, 10.0), ("uphill", 3, 10.0), ("bend", 4, 15.0)):
+        scene = make_scene(SceneSpec(profile=profile, seed=seed, pixel_jitter_px=0.3))
+        sample = perturb_pitch(scene, 3.0, seed)
+        cfg = CalibConfig(y_close_m=y_close_m)
+        clean = calibrate_pitch(sample.lanes_2d, sample.intrinsics, 1.5, cfg)
+        rng = np.random.default_rng(seed)
+        corrupted, n_near = [], []
+        for uv in sample.lanes_2d:
+            far = beyond_y_close(uv, 0.0, y_close_m)  # one iteration back-projects at pitch 0
+            assert far.any() and not far.all()
+            bad = uv.copy()
+            # y_flat depends on v alone, and a smaller v lies farther out: the
+            # corrupted points stay beyond y_close
+            bad[far, 0] += rng.normal(0.0, 50.0, far.sum())
+            bad[far, 1] -= rng.uniform(0.0, 20.0, far.sum())
+            assert beyond_y_close(bad, 0.0, y_close_m).tolist() == far.tolist()
+            corrupted.append(bad)
+            n_near.append(int((~far).sum()))
+        result = calibrate_pitch(corrupted, sample.intrinsics, 1.5, cfg)
+        assert result.pitch_rad == clean.pitch_rad  # bit for bit
+        assert result.pairs == clean.pairs
+        lines = [p.left for p in result.pairs] + [result.pairs[-1].right]
+        assert sorted(line.n_points for line in lines) == sorted(n_near)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_recovers_pitch_exactly_on_straight_lanes(flat_scene, seed):
     sample = perturb_pitch(flat_scene, 3.0, seed)
     result = calibrate_pitch(sample.lanes_2d, sample.intrinsics, sample.pose.height_m)
-    assert abs(result.pitch_rad - sample.true_pitch_rad) < 1e-10
+    assert abs(result.pitch_rad - sample.pose.pitch_rad) < 1e-10
     assert result.iterations == 1
     assert len(result.pairs) == len(sample.lanes3d) - 1
     assert result.dispersion_rad < 1e-12
@@ -88,7 +104,7 @@ def test_two_iterations_confirm_convergence(flat_scene):
     two = calibrate_pitch(sample.lanes_2d, sample.intrinsics, 1.5, CalibConfig(max_iters=2))
     assert two.converged
     assert two.iterations == 2
-    assert abs(two.pitch_rad - sample.true_pitch_rad) < 1e-10
+    assert abs(two.pitch_rad - sample.pose.pitch_rad) < 1e-10
 
 
 def test_pair_totals_agree_with_aggregate(flat_scene):
@@ -107,9 +123,19 @@ def test_insufficient_lanes_raise():
 def test_lane_without_near_points_is_skipped():
     good = straight_lane_pixels(0.0, 0.01)
     far_only = np.stack([np.full(5, 200.0), np.linspace(181.0, 183.0, 5)], axis=-1)
-    # the far-only lane back-projects beyond y_close, leaving one usable lane
-    with pytest.raises(InsufficientPointsError):
-        calibrate_pitch([good, far_only], DEFAULT_INTRINSICS, 1.5)
+    # one point below v = 255 (10 m at pitch 0), the rest beyond y_close
+    one_near = np.stack([np.full(5, 400.0), [300.0, 200.0, 195.0, 190.0, 185.0]], axis=-1)
+    for lane, n_near in ((far_only, 0), (one_near, 1)):
+        assert (~beyond_y_close(lane, 0.0, 10.0)).sum() == n_near
+        # too few near points to fit a line: one usable lane is left
+        with pytest.raises(InsufficientPointsError):
+            calibrate_pitch([good, lane], DEFAULT_INTRINSICS, 1.5)
+    right = straight_lane_pixels(3.7, 0.01)
+    two = calibrate_pitch([good, right], DEFAULT_INTRINSICS, 1.5)
+    for lane in (far_only, one_near):
+        three = calibrate_pitch([good, lane, right], DEFAULT_INTRINSICS, 1.5)
+        assert three.pitch_rad == two.pitch_rad
+        assert three.pairs == two.pairs
 
 
 def test_close_intercepts_are_ill_conditioned():
@@ -124,6 +150,13 @@ def test_validation():
         CalibConfig(y_close_m=0.0)
     with pytest.raises(InvalidInputError):
         CalibConfig(max_iters=0)
+    for name in ("y_close_m", "tol_rad"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match=name):
+                CalibConfig(**{name: bad})
+    CalibConfig(tol_rad=0.0)
+    with pytest.raises(InvalidInputError):
+        CalibConfig(tol_rad=-1e-9)
     uv = straight_lane_pixels(0.0, 0.0)
     with pytest.raises(InvalidInputError):
         calibrate_pitch([uv, uv], DEFAULT_INTRINSICS, -1.0)

@@ -276,6 +276,8 @@ def test_usage_errors_exit_64(capsys, tmp_path):
         ["--perturb-pitch-deg", "nan"],
         ["--perturb-pitch-deg", "-1"],
         ["--profile", "fork", "--gap", "inf"],
+        ["--seed=-1"],
+        ["--perturb-pitch-deg", "1", "--perturb-seed=-1"],
     ],
 )
 def test_synth_rejects_bad_numbers(capsys, tmp_path, flags):
@@ -290,9 +292,19 @@ def test_synth_rejects_bad_numbers(capsys, tmp_path, flags):
 # the exit-code contract under malformed lane files
 
 
+def _main_err(argv):
+    """(exit code, stderr) of one in-process run; usage errors leave through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 def _quiet_main(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return _main_err(argv)[0]
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +391,111 @@ def test_eval_rejects_malformed_prediction(capsys, tmp_path, scene_path, edit):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     code, _ = run(capsys, "eval", "--pred", str(bad), "--gt", str(scene_path))
     assert code == EXIT_INVALID
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed numeric flags
+
+
+@pytest.fixture(scope="module")
+def valid_root(valid_files):
+    return valid_files[0]
+
+
+def _command(root, name):
+    """argv of one subcommand on the valid files, writing to root/out.json where it writes."""
+    scene, encoded, out = (str(root / f) for f in ("scene.json", "encoded.json", "out.json"))
+    return {
+        "synth": ["synth", "--profile", "fork", "--out", out],
+        "calibrate": ["calibrate", "--in", scene, "--out", out],
+        "loss": ["loss", "--pred", encoded, "--gt", encoded],
+        "fit": ["fit", "--in", scene, "--out", out, "--steps", "20"],
+        "nms": ["nms", "--in", encoded, "--out", out],
+        "eval": ["eval", "--pred", scene, "--gt", scene, "--out", out],
+    }[name]
+
+
+# every float flag of each subcommand
+NUMERIC_FLAGS = {
+    "synth": ("--lane-width", "--grade", "--bend-radius", "--gap", "--crown", "--pitch-deg",
+              "--height", "--y-start", "--y-end", "--spacing", "--jitter-px", "--perturb-pitch-deg"),
+    "calibrate": ("--y-close", "--tol"),
+    "loss": ("--smooth-delta", "--pred-pitch-deg", "--calib-pitch-deg", "--weights"),
+    "fit": ("--tol", "--smooth-delta"),
+    "nms": ("--d-thresh", "--prob-floor"),
+    "eval": ("--y-min", "--y-max", "--y-step", "--match-dist", "--match-frac", "--split"),
+}
+PITCH_PAIR = {"--pred-pitch-deg": "--calib-pitch-deg", "--calib-pitch-deg": "--pred-pitch-deg"}
+NON_FINITE = ("nan", "inf", "-inf")
+# values past the sample caps, only for the flags that size arrays
+PAST_CAP = {"--y-end": "1e9", "--spacing": "1e-9", "--y-max": "1e9", "--y-step": "1e-9"}
+
+
+def _flag_argv(flag, value):
+    """argv giving one flag one value; "flag=value" lets a value start with "-"."""
+    if flag == "--grade":
+        return ["--grade", "0", "0", value]
+    if flag == "--weights":
+        return [f"--weights=width={value}"]
+    return [f"{flag}={value}"] + ([f"{PITCH_PAIR[flag]}=0"] if flag in PITCH_PAIR else [])
+
+
+def _values(flag):
+    values = [*NON_FINITE, "0", "-1", "1e308"]
+    if flag in PAST_CAP:
+        values.append(PAST_CAP[flag])
+    if flag == "--grade":  # argparse reads "-inf" among three values as an option
+        values.remove("-inf")
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_FLAGS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_numeric_flags_hold_the_exit_code_contract(valid_root, name, data):
+    flag = data.draw(st.sampled_from(NUMERIC_FLAGS[name]), label="flag")
+    value = data.draw(st.sampled_from(_values(flag)), label="value")
+    out = valid_root / "out.json"
+    out.unlink(missing_ok=True)
+    code, err = _main_err(_command(valid_root, name) + _flag_argv(flag, value))
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NUMERIC, EXIT_USAGE)
+    if value in NON_FINITE:
+        assert code == EXIT_INVALID
+    if code in (EXIT_INVALID, EXIT_NUMERIC):
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("eval", ["--y-step", "nan"]),
+        ("eval", ["--y-step", "1e-9"]),
+        ("eval", ["--y-max", "1e9"]),
+        ("eval", ["--match-dist", "nan"]),
+        ("eval", ["--split", "inf"]),
+        ("nms", ["--d-thresh", "nan"]),
+        ("nms", ["--d-thresh", "-1"]),
+        ("nms", ["--d-thresh", "inf"]),
+        ("nms", ["--prob-floor", "nan"]),
+        ("nms", ["--prob-floor", "2"]),
+        ("fit", ["--tol", "nan"]),
+        ("fit", ["--tol", "inf"]),
+        ("fit", ["--smooth-delta", "inf"]),
+        ("calibrate", ["--y-close", "nan"]),
+        ("calibrate", ["--tol", "nan"]),
+        ("calibrate", ["--tol", "-1"]),
+        ("loss", ["--weights", "width=-1"]),
+        ("loss", ["--weights", "height=nan"]),
+        ("loss", ["--smooth-delta", "-1"]),
+        ("loss", ["--smooth-delta", "nan"]),
+        ("loss", ["--pred-pitch-deg", "nan", "--calib-pitch-deg", "0"]),
+    ],
+)
+def test_subcommands_reject_bad_numbers(valid_root, name, flags):
+    out = valid_root / "out.json"
+    out.unlink(missing_ok=True)
+    code, err = _main_err(_command(valid_root, name) + flags)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()

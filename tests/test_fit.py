@@ -251,6 +251,10 @@ def test_fit_config_validation():
         FitConfig(smooth_delta=0.0)
     with pytest.raises(InvalidInputError):
         FitConfig(continuation_delta=-0.5)
+    for name in ("tol", "smooth_delta", "continuation_delta"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match=name):
+                FitConfig(**{name: bad})
 
 
 def test_fit_report_counts(bend_scene, default_grid):

@@ -6,19 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevlane import (
-    BevPoint,
     CameraPose,
     DEFAULT_INTRINSICS,
     Intrinsics,
     Lane3D,
     LaneBEV,
-    Point3,
     flat_from_image_points,
-    flat_to_image,
-    image_to_flat,
+    flat_from_points3,
     lane_bev_from_lane3d,
-    lift_flat_to_3d,
-    project_3d_to_flat,
     project_points3_to_image,
     resample_at_y,
     resample_bev_with_z,
@@ -29,20 +24,25 @@ from bevlane.errors import (
     DegenerateProjectionError,
     InvalidInputError,
     InvalidLaneError,
-    NoGroundIntersectionError,
 )
+
+
+def lift(flat, z, h):
+    """Flat-ground point back to 3D given its true height: the inverse of the projection."""
+    return (h - z) / h * np.asarray(flat, dtype=float)
 
 
 def test_flat_projection_frozen_example():
     # h=1.5, z=0.3: scale h/(h-z) = 1.25 exactly
-    bev = project_3d_to_flat(Point3(2.0, 10.0, 0.3), 1.5)
-    assert bev.x_flat == pytest.approx(2.5, abs=1e-12)
-    assert bev.y_flat == pytest.approx(12.5, abs=1e-12)
+    flat = flat_from_points3(np.array([[2.0, 10.0, 0.3]]), 1.5)
+    np.testing.assert_allclose(flat, [[2.5, 12.5]], atol=1e-12)
 
 
 def test_lift_is_exact_inverse_frozen():
-    p = lift_flat_to_3d(BevPoint(2.5, 12.5), 0.3, 1.5)
-    assert (p.x, p.y, p.z) == pytest.approx((2.0, 10.0, 0.3), abs=1e-12)
+    back = lift([2.5, 12.5], 0.3, 1.5)
+    np.testing.assert_allclose(back, [2.0, 10.0], atol=1e-12)
+    again = flat_from_points3(np.array([[back[0], back[1], 0.3]]), 1.5)
+    np.testing.assert_allclose(again, [[2.5, 12.5]], atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -53,22 +53,23 @@ def test_lift_is_exact_inverse_frozen():
 )
 def test_project_lift_round_trip(x, y, z):
     h = 1.5
-    bev = project_3d_to_flat(Point3(x, y, z), h)
-    back = lift_flat_to_3d(bev, z, h)
-    assert back.x == pytest.approx(x, abs=1e-9)
-    assert back.y == pytest.approx(y, abs=1e-9)
+    flat = flat_from_points3(np.array([[x, y, z]]), h)
+    back = lift(flat[0], z, h)
+    assert back[0] == pytest.approx(x, abs=1e-9)
+    assert back[1] == pytest.approx(y, abs=1e-9)
 
 
 def test_projection_rejects_point_at_camera_height():
     with pytest.raises(DegenerateProjectionError):
-        project_3d_to_flat(Point3(0.0, 10.0, 1.5), 1.5)
-    with pytest.raises(DegenerateProjectionError):
-        lift_flat_to_3d(BevPoint(0.0, 10.0), 2.0, 1.5)
+        flat_from_points3(np.array([[0.0, 10.0, 1.5]]), 1.5)
+    with pytest.raises(DegenerateProjectionError):  # one row above the camera fails the batch
+        flat_from_points3(np.array([[0.0, 5.0, 0.0], [0.0, 10.0, 2.0]]), 1.5)
 
 
 def test_projection_rejects_bad_height():
-    with pytest.raises(InvalidInputError):
-        project_3d_to_flat(Point3(0.0, 1.0, 0.0), 0.0)
+    for h in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            flat_from_points3(np.array([[0.0, 1.0, 0.0]]), h)
 
 
 def test_pinhole_frozen_example():
@@ -84,8 +85,10 @@ def test_point_behind_camera_raises():
         project_points3_to_image(
             np.array([[0.0, -1.0, 0.0]]), DEFAULT_INTRINSICS, CameraPose(0.0, 1.5)
         )
-    with pytest.raises(BehindCameraError):
-        flat_to_image(BevPoint(0.0, 0.0), DEFAULT_INTRINSICS, CameraPose(0.0, 1.5))
+    with pytest.raises(BehindCameraError):  # the ground point under the camera
+        project_points3_to_image(
+            np.array([[0.0, 0.0, 0.0]]), DEFAULT_INTRINSICS, CameraPose(0.0, 1.5)
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,30 +100,24 @@ def test_point_behind_camera_raises():
 def test_image_flat_round_trip(pitch, x, y):
     intr = DEFAULT_INTRINSICS
     pose = CameraPose(pitch, 1.5)
-    px = flat_to_image(BevPoint(x, y), intr, pose)
-    back = image_to_flat((px.u, px.v), intr, pose)
-    assert back.x_flat == pytest.approx(x, abs=1e-9)
-    assert back.y_flat == pytest.approx(y, abs=1e-9)
-
-
-def test_pixel_above_horizon_raises():
-    intr = DEFAULT_INTRINSICS
-    pose = CameraPose(0.0, 1.5)
-    # at pitch 0 the horizon sits exactly at v = cy
-    with pytest.raises(NoGroundIntersectionError):
-        image_to_flat((240.0, intr.cy), intr, pose)
-    with pytest.raises(NoGroundIntersectionError):
-        image_to_flat((240.0, intr.cy - 5.0), intr, pose)
+    uv = project_points3_to_image(np.array([[x, y, 0.0]]), intr, pose)
+    flat, ok = flat_from_image_points(uv, intr, pose)
+    assert ok.tolist() == [True]
+    assert flat[0, 0] == pytest.approx(x, abs=1e-9)
+    assert flat[0, 1] == pytest.approx(y, abs=1e-9)
 
 
 def test_flat_from_image_points_masks_horizon_rows():
     intr = DEFAULT_INTRINSICS
     pose = CameraPose(0.0, 1.5)
-    uv = np.array([[240.0, 255.0], [240.0, 170.0], [240.0, 181.0]])
+    # at pitch 0 the horizon sits exactly at v = cy: rows on it or above never meet the ground
+    uv = np.array(
+        [[240.0, 255.0], [240.0, 170.0], [240.0, 181.0], [240.0, intr.cy], [240.0, intr.cy - 5.0]]
+    )
     flat, ok = flat_from_image_points(uv, intr, pose)
-    assert ok.tolist() == [True, False, True]
+    assert ok.tolist() == [True, False, True, False, False]
     np.testing.assert_allclose(flat[0], [0.0, 10.0], atol=1e-9)
-    assert np.all(np.isnan(flat[1]))
+    assert np.all(np.isnan(flat[~ok]))
 
 
 def test_camera_pose_validation():

@@ -18,7 +18,7 @@ from bevlane import (
     width_loss,
     z_loss,
 )
-from bevlane.losses import height_loss, weak_residuals
+from bevlane.losses import _pairs, _widths, height_loss, weak_residuals
 
 POSE = CameraPose(0.0, 1.5)
 FD_STEP = 1e-6
@@ -97,10 +97,8 @@ def check_width_gradient(seed) -> float:
     rng = np.random.default_rng(seed)
     for _ in range(50):
         t = _rand_tensor(rng)
-        from bevlane import width_profile_3d
-
-        prof = width_profile_3d(t, POSE)
-        diffs = np.diff(prof.widths, axis=1)[np.logical_and(prof.valid[:, 1:], prof.valid[:, :-1])]
+        widths, valid, _ = _widths(t, POSE, *_pairs(t))
+        diffs = np.diff(widths, axis=1)[np.logical_and(valid[:, 1:], valid[:, :-1])]
         if diffs.size and np.min(np.abs(diffs)) > KINK_MARGIN:
             break
     else:

@@ -16,11 +16,10 @@ from bevlane import (
     total_sup,
     total_ws,
     width_loss,
-    width_profile_3d,
     z_loss,
 )
 from bevlane.errors import DegenerateSegmentError, InvalidInputError
-from bevlane.losses import ordered_active_layer1, second_layer_mask
+from bevlane.losses import _pairs, _widths, ordered_active_layer1, second_layer_mask
 from test_gradients import finite_difference_gradient
 
 POSE = CameraPose(0.0, 1.5)
@@ -198,10 +197,11 @@ def test_z_loss_gated_sum():
 
 def test_width_profile_parallel_lanes():
     t = two_lane_tensor([3.7, 3.7, 3.7])
-    profile = width_profile_3d(t, POSE)
-    assert profile.pairs == [(0, 1)]
-    np.testing.assert_allclose(profile.widths[0], 3.7, atol=1e-12)
-    assert profile.valid.all()
+    prev, cur = _pairs(t)
+    assert list(zip(prev.tolist(), cur.tolist())) == [(0, 1)]
+    widths, valid, _ = _widths(t, POSE, prev, cur)
+    np.testing.assert_allclose(widths[0], 3.7, atol=1e-12)
+    assert valid.all()
 
 
 def test_width_profile_needs_two_lanes():
@@ -209,8 +209,13 @@ def test_width_profile_needs_two_lanes():
     t = AnchorTensor.empty(grid)
     t.prob[0, 0] = 1.0
     t.vis[0, 0] = 1.0
-    with pytest.raises(InvalidInputError):
-        width_profile_3d(t, POSE)
+    prev, cur = _pairs(t)
+    assert prev.size == cur.size == 0
+    widths, valid, _ = _widths(t, POSE, prev, cur)
+    assert widths.shape == valid.shape == (0, grid.n_steps)
+    loss, grads = width_loss(t, POSE)
+    assert loss == 0.0
+    assert not grads.d_x_offsets.any() and not grads.d_z.any()
 
 
 def test_lane_width_matches_perpendicular_on_lateral_chord():
@@ -259,6 +264,29 @@ def test_total_ws_pitch_term():
     assert out.l_pitch == pytest.approx(0.015)
     with pytest.raises(InvalidInputError):
         total_ws(pred, pred, POSE, pred_pitch_rad=0.02)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            total_ws(pred, pred, POSE, pred_pitch_rad=bad, calib_pitch_rad=0.0)
+        with pytest.raises(InvalidInputError):
+            total_sup(pred, pred, pred_pitch_rad=0.0, calib_pitch_rad=bad)
+
+
+def test_loss_weights_validation():
+    LossWeights(bev=0.0, width=0.0, height=0.0, z=0.0, pitch=0.0)  # zero switches a term off
+    for name in ("bev", "width", "height", "z", "pitch"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                LossWeights(**{name: bad})
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_smooth_delta_must_be_positive_and_finite(delta):
+    t = two_lane_tensor([3.7, 3.8, 3.7], right_z=[0.0, 0.05, 0.0])
+    for loss in (lambda: width_loss(t, POSE, smooth_delta=delta),
+                 lambda: height_loss(t, smooth_delta=delta),
+                 lambda: z_loss(t, t, smooth_delta=delta)):
+        with pytest.raises(InvalidInputError):
+            loss()
 
 
 def test_total_sup_combines_terms():

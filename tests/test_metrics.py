@@ -17,7 +17,6 @@ from bevlane import (
     encode_gt,
     evaluate,
     make_scene,
-    match_lanes,
 )
 from bevlane import metrics
 from bevlane.errors import InvalidInputError
@@ -115,7 +114,7 @@ def test_partial_coverage_below_threshold_no_match():
 def test_min_overlap_points():
     gt = [straight(0.0)]
     stub = Lane3D([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])  # one grid point of overlap
-    assert match_lanes([stub], gt) == []
+    assert evaluate([stub], gt).matches == []
 
 
 def test_permutation_invariance(uphill_scene):
@@ -131,7 +130,7 @@ def test_permutation_invariance(uphill_scene):
 def test_match_lanes_structure():
     gt = [straight(0.0), straight(3.7)]
     preds = [straight(3.8), straight(-0.1)]
-    matches = match_lanes(preds, gt)
+    matches = evaluate(preds, gt).matches
     assert [m.gt_index for m in matches] == [0, 1]
     assert matches[0].pred_index == 1
     assert matches[1].pred_index == 0
@@ -173,6 +172,15 @@ def test_eval_config_validation():
         EvalConfig(match_frac=0.0)
     with pytest.raises(InvalidInputError):
         EvalConfig(min_overlap_points=0)
+    for name in ("y_min", "y_max", "y_step", "match_dist_m", "match_frac", "near_far_split_m"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidInputError, match=name):
+                EvalConfig(**{name: bad})
+    EvalConfig(y_max=100_000.0)  # exactly at the sample cap
+    with pytest.raises(InvalidInputError):
+        EvalConfig(y_max=100_000.5)  # past the sample cap
+    with pytest.raises(InvalidInputError):
+        EvalConfig(y_step=1e-9)
 
 
 def test_import_bevlane_loads_no_scipy():
@@ -324,7 +332,6 @@ def test_evaluate_matches_reference_bit_for_bit(profile, seed):
     for preds, gts, probs in candidate_cases(profile, seed):
         got = evaluate(preds, gts, probs)
         assert dataclasses.asdict(got) == dataclasses.asdict(ref_evaluate(preds, gts, probs))
-        assert match_lanes(preds, gts) == ref_match_lanes(preds, gts)
 
 
 def test_stub_lane_has_too_few_mutual_steps():

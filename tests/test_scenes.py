@@ -259,6 +259,7 @@ def test_sharp_bend_raises():
         {"bend_arc_deg": math.nan},
         {"profile": "fork", "gap_m": math.inf},
         {"profile": "fork", "fork_divergence": math.nan},
+        {"seed": -1},
     ],
 )
 def test_spec_validation(kwargs):
@@ -290,7 +291,5 @@ def test_perturb_pitch_seeded_and_validated(flat_scene):
         perturb_pitch(flat_scene, -1.0, 0)
     with pytest.raises(InvalidSpecError):
         perturb_pitch(flat_scene, 5.5, 0)
-
-
-def test_true_pitch_property(flat_scene):
-    assert flat_scene.true_pitch_rad == flat_scene.pose.pitch_rad
+    with pytest.raises(InvalidSpecError):
+        perturb_pitch(flat_scene, 1.0, -1)
