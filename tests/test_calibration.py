@@ -120,7 +120,8 @@ def test_insufficient_lanes_raise():
         calibrate_pitch([uv], DEFAULT_INTRINSICS, 1.5)
 
 
-def test_lane_without_near_points_is_skipped():
+def test_fit_near_line_insufficient():
+    # the near-field line fit of calibrate_pitch needs two points with y_flat < y_close
     good = straight_lane_pixels(0.0, 0.01)
     far_only = np.stack([np.full(5, 200.0), np.linspace(181.0, 183.0, 5)], axis=-1)
     # one point below v = 255 (10 m at pitch 0), the rest beyond y_close
@@ -130,6 +131,15 @@ def test_lane_without_near_points_is_skipped():
         # too few near points to fit a line: one usable lane is left
         with pytest.raises(InsufficientPointsError):
             calibrate_pitch([good, lane], DEFAULT_INTRINSICS, 1.5)
+
+
+def test_lane_without_near_points_is_skipped():
+    good = straight_lane_pixels(0.0, 0.01)
+    far_only = np.stack([np.full(5, 200.0), np.linspace(181.0, 183.0, 5)], axis=-1)
+    one_near = np.stack([np.full(5, 400.0), [300.0, 200.0, 195.0, 190.0, 185.0]], axis=-1)
+    # the far-only lane back-projects beyond y_close, leaving one usable lane
+    with pytest.raises(InsufficientPointsError):
+        calibrate_pitch([good, far_only], DEFAULT_INTRINSICS, 1.5)
     right = straight_lane_pixels(3.7, 0.01)
     two = calibrate_pitch([good, right], DEFAULT_INTRINSICS, 1.5)
     for lane in (far_only, one_near):

@@ -11,6 +11,7 @@ from bevlane import (
     Intrinsics,
     Lane3D,
     LaneBEV,
+    calibrate_pitch,
     flat_from_image_points,
     flat_from_points3,
     lane_bev_from_lane3d,
@@ -22,6 +23,7 @@ from bevlane import (
 from bevlane.errors import (
     BehindCameraError,
     DegenerateProjectionError,
+    InsufficientPointsError,
     InvalidInputError,
     InvalidLaneError,
 )
@@ -107,17 +109,31 @@ def test_image_flat_round_trip(pitch, x, y):
     assert flat[0, 1] == pytest.approx(y, abs=1e-9)
 
 
-def test_flat_from_image_points_masks_horizon_rows():
+def test_pixel_above_horizon_raises():
     intr = DEFAULT_INTRINSICS
     pose = CameraPose(0.0, 1.5)
     # at pitch 0 the horizon sits exactly at v = cy: rows on it or above never meet the ground
-    uv = np.array(
-        [[240.0, 255.0], [240.0, 170.0], [240.0, 181.0], [240.0, intr.cy], [240.0, intr.cy - 5.0]]
+    horizon = np.array([[240.0, intr.cy], [240.0, intr.cy - 5.0]])
+    flat, ok = flat_from_image_points(horizon, intr, pose)
+    assert ok.tolist() == [False, False]
+    assert np.all(np.isnan(flat))
+    # a lane drawn on or above the horizon gives calibration no ground points
+    ground = project_points3_to_image(
+        np.stack([np.zeros(10), np.linspace(2.0, 9.5, 10), np.zeros(10)], axis=-1), intr, pose
     )
+    sky = np.stack([np.full(5, 300.0), np.linspace(intr.cy - 20.0, intr.cy, 5)], axis=-1)
+    with pytest.raises(InsufficientPointsError):
+        calibrate_pitch([ground, sky], intr, pose.height_m)
+
+
+def test_flat_from_image_points_masks_horizon_rows():
+    intr = DEFAULT_INTRINSICS
+    pose = CameraPose(0.0, 1.5)
+    uv = np.array([[240.0, 255.0], [240.0, 170.0], [240.0, 181.0]])
     flat, ok = flat_from_image_points(uv, intr, pose)
-    assert ok.tolist() == [True, False, True, False, False]
+    assert ok.tolist() == [True, False, True]
     np.testing.assert_allclose(flat[0], [0.0, 10.0], atol=1e-9)
-    assert np.all(np.isnan(flat[~ok]))
+    assert np.all(np.isnan(flat[1]))
 
 
 def test_camera_pose_validation():
