@@ -225,7 +225,6 @@ def cmd_fit(args) -> int:
     cfg = FitConfig(
         max_steps=args.steps,
         tol=args.tol,
-        smooth_delta=args.smooth_delta,
         include_first_step=args.include_first_step,
     )
     if args.mode == "weak":
@@ -366,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("weak", "sup"), default="weak")
     p.add_argument("--steps", type=int, default=12000)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--smooth-delta", type=float, default=None)
     p.add_argument("--pin", choices=("zero", "keep"), default="zero")
     p.add_argument("--pin-step", type=int, default=None)
     p.add_argument("--include-first-step", action="store_true")

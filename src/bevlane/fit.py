@@ -13,13 +13,12 @@ step as z_j = h - (h - z_ref) * W'_ref / W'_j.  It doubles as an independent
 oracle for the iterative fit.
 
 `fit_ws` starts from that closed form, which is exact on straight roads and
-close on bends.  A damped Gauss-Newton (Levenberg-Marquardt) solve on a
-Huber-smoothed lead-in of the residual vector behind the two terms (width
-differences and height gaps, with their Jacobian in z) follows.  The exact
-L1 objective is then minimized by sequential linear programming: each step
-minimizes the L1 norm of the linearized residuals inside a trust region, and
-a step whose predicted decrease is at most `tol` certifies a first-order L1
-stationary point.
+close on bends.  The exact L1 objective over the residual vector behind the
+two terms (width differences and height gaps, with their Jacobian in z) is
+then minimized by sequential linear programming: each step minimizes the L1
+norm of the linearized residuals inside a trust region, and a step whose
+predicted decrease is at most `tol` certifies a first-order L1 stationary
+point.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .geometry import CameraPose
 from .losses import (
     LossWeights,
     _check_same_grid,
-    _l1,
     _pairs,
     _widths,
     second_layer_mask,
@@ -44,22 +42,12 @@ from .losses import (
 
 log = logging.getLogger(__name__)
 
-# Gauss-Newton damping: start, growth on a rejected step (and shrink on an
-# accepted one), and the range it stays in; past the top no step lowers the
-# loss any more.
-_DAMPING0 = 1e-3
-_DAMPING_FACTOR = 10.0
-_DAMPING_MIN = 1e-12
-_DAMPING_MAX = 1e12
-# a Gauss-Newton step that lowers the loss by less than this fraction ends the
-# stage: the minimum is positive (bends) and has been reached to rounding
-_STALL_GAIN = 1e-10
 # first trust radius of the sequential LP, in metres of height
 _RADIUS0 = 0.05
-# a stage stalls when its loss fell by less than this fraction over the last
-# window of steps.  The LPs approach minima that are not vertices (crowned
-# roads) this slowly, and so does Gauss-Newton on their large residuals;
-# vertex minima end as stationary long before
+# a fit stalls when its loss fell by less than this fraction over its last
+# window of accepted steps; rejected steps only shrink the trust radius and
+# are left out of the window.  The LPs approach minima that are not vertices
+# (crowned roads) this slowly; vertex minima end as stationary long before
 _WINDOW = 10
 _MIN_PROGRESS = 1e-2
 # how a fit may stop; only the first two mean it converged
@@ -68,45 +56,35 @@ STOP_REASONS = ("target", "stationary", "stalled", "max_steps")
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Budget and objectives of the fits.
+    """Budget and objective of the fits.
 
-    The requested objective is the weighted sum of the residual magnitudes:
-    exact L1 by default, Huber-smoothed with `smooth_delta`.  A Gauss-Newton
-    stage on the blunter Huber lead-in `continuation_delta` (None: none)
-    runs first.  Exact L1 is then minimized by sequential LP, a Huber
-    objective by Gauss-Newton.  `max_steps` bounds the Gauss-Newton
-    iterations and LP solves together.  A fit converges once the requested
-    loss is at most `tol` ("target"), or once no step is predicted to lower
-    it by more than `tol` ("stationary"); otherwise it ends "stalled" or at
-    "max_steps".
+    The objective is the weighted sum of the residual magnitudes (exact L1),
+    minimized by sequential LP; `max_steps` bounds the LP solves.  A fit
+    converges once the loss is at most `tol` ("target"), or once no step is
+    predicted to lower it by more than `tol` ("stationary"); otherwise it
+    ends "stalled" or at "max_steps".
     """
 
     max_steps: int = 12000
     tol: float = 1e-12
-    smooth_delta: float | None = None
-    continuation_delta: float | None = 1.0
     weights: LossWeights = LossWeights()
     include_first_step: bool = False
 
     def __post_init__(self):
-        require_finite(self, ("max_steps", "tol", "smooth_delta", "continuation_delta"))
+        require_finite(self, ("max_steps", "tol"))
         if self.max_steps < 1:
             raise InvalidInputError("max_steps must be positive")
         if self.tol < 0:
             raise InvalidInputError("tol must be >= 0")
-        for name in ("smooth_delta", "continuation_delta"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise InvalidInputError(f"{name} must be positive or None")
 
 
 @dataclass
 class FitReport:
-    """Outcome of a fit, scored on the requested objective throughout.
+    """Outcome of a fit, scored on the exact L1 objective throughout.
 
-    `history` holds the loss of the start, then the loss after each step
-    (and the start's again where the lead-in is dropped); `stop_reason` is
-    one of STOP_REASONS, and `converged` is True only for "target" and
+    `history` holds the loss of the start, then the loss after each LP
+    solved (unchanged after a rejected step); `stop_reason` is one of
+    STOP_REASONS, and `converged` is True only for "target" and
     "stationary".
     """
 
@@ -200,72 +178,16 @@ def _require_finite(loss, jac, history):
         raise DivergedError("loss or its derivative became non-finite", trace=history[-50:])
 
 
-def _stalled(losses):
-    """True when the loss fell by at most _MIN_PROGRESS of itself over the last window."""
-    return len(losses) > _WINDOW and losses[-1 - _WINDOW] - losses[-1] <= _MIN_PROGRESS * losses[-1 - _WINDOW]
+def _stalled(accepted):
+    """True when the loss fell by at most _MIN_PROGRESS of itself over the last
+    _WINDOW accepted steps."""
+    if len(accepted) <= _WINDOW:
+        return False
+    before = accepted[-1 - _WINDOW]
+    return before - accepted[-1] <= _MIN_PROGRESS * before
 
 
-def _gauss_newton(p0, evaluate, delta, score, *, max_steps, target):
-    """Damped Gauss-Newton on the residuals of a Huber objective.
-
-    evaluate(p) returns (r, scale, jac) and the objective is sum(scale * rho(r))
-    with rho the `_l1` penalty.  Each iteration solves the normal equations
-    of the weighted least-squares model with IRLS weights
-    scale / max(|r|, delta): exact where the Huber penalty is quadratic and
-    with the same gradient where it is linear, so the Huber objective is the
-    one minimized.  The Levenberg damping adds a multiple of the identity,
-    relative to the largest diagonal entry; only steps that lower the
-    objective are taken, and the damping grows until one does.  Returns
-    (p, scores, n_evals, reason), scores holding score(r, scale) after each
-    step.
-    """
-    def loss_of(r, scale):
-        return float(scale @ _l1(r, delta)[0])
-
-    p = p0.copy()
-    r, scale, jac = evaluate(p)
-    loss = loss_of(r, scale)
-    _require_finite(loss, jac, [loss])
-    scores: list[float] = []
-    n_evals = 1
-    if loss <= target:
-        return p, scores, n_evals, "target"
-    damping = _DAMPING0
-    reason = "max_steps"
-    losses = [loss]
-    for _ in range(max_steps):
-        sw = np.sqrt(scale / np.maximum(np.abs(r), delta))
-        a = sw[:, None] * jac
-        normal = a.T @ a
-        grad = a.T @ (sw * r)
-        unit = float(normal.diagonal().max(initial=0.0)) or 1.0
-        while True:
-            damped = normal + damping * unit * np.eye(p.size)
-            cand = p - np.linalg.solve(damped, grad)
-            r_c, _, jac_c = evaluate(cand)
-            f_c = loss_of(r_c, scale)
-            n_evals += 1
-            _require_finite(f_c, jac_c, losses + [f_c])
-            if f_c < loss:
-                break
-            damping *= _DAMPING_FACTOR
-            if damping > _DAMPING_MAX:
-                return p, scores, n_evals, "stalled"
-        damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
-        gain = loss - f_c
-        p, r, jac, loss = cand, r_c, jac_c, f_c
-        losses.append(loss)
-        scores.append(score(r, scale))
-        if loss <= target:
-            reason = "target"
-            break
-        if gain <= _STALL_GAIN * (loss + gain) or _stalled(losses):
-            reason = "stalled"
-            break
-    return p, scores, n_evals, reason
-
-
-def _sequential_lp(p0, evaluate, *, max_steps, target):
+def _sequential_lp(p, evaluate, *, max_steps, target):
     """Exact-L1 minimization of sum(scale * |r|) by sequential linear programming.
 
     Each step linearizes r(p + d) ~ r + J d and solves
@@ -273,27 +195,31 @@ def _sequential_lp(p0, evaluate, *, max_steps, target):
     r + J d = t+ - t-, t+/- >= 0 (l1 SLP: Osborne & Watson 1971; Fletcher,
     Practical Methods of Optimization, ch. 14).  The ratio of actual to
     predicted decrease halves or doubles the trust radius; only steps that
-    lower the loss are taken.  The model is convex, so a predicted decrease
-    of at most `target` certifies a first-order stationary point.  Returns
-    (p, losses, n_evals, reason); each LP solved is a step, and losses holds
-    the loss after each.
+    lower the loss are taken, and only those count toward a stall.  The
+    model is convex, so a predicted decrease of at most `target` certifies
+    a first-order stationary point.  Returns (p, losses, n_evals, reason);
+    each LP solved is a step, and losses holds the start's loss, then the
+    loss after each step.
     """
-    from scipy.optimize import linprog
-
-    p = p0.copy()
     r, scale, jac = evaluate(p)
     loss = float(scale @ np.abs(r))
     losses = [loss]
     _require_finite(loss, jac, losses)
-    n_evals = 1
     if loss <= target:
-        return p, [], n_evals, "target"
+        return p, losses, 1, "target"
+    if p.size == 0:
+        log.warning("nothing to optimize: no free z entries")
+        return p, losses, 1, "stationary"
+    from scipy.optimize import linprog
+
     n, m = p.size, r.size
     cost = np.concatenate([np.zeros(n), scale, scale])
     bounds = np.zeros((n + 2 * m, 2))
     bounds[n:, 1] = np.inf
     eye = np.eye(m)
     radius = _RADIUS0
+    accepted = [loss]
+    n_evals = 1
     reason = "max_steps"
     for step in range(max_steps):
         # heights no residual depends on stay where they are
@@ -320,58 +246,26 @@ def _sequential_lp(p0, evaluate, *, max_steps, target):
             radius = max(radius, 2.0 * length)
         if f_c < loss:
             p, r, jac, loss = p + d, r_c, jac_c, f_c
+            accepted.append(loss)
         losses.append(loss)
         if loss <= target:
             reason = "target"
             break
-        if _stalled(losses):
+        if _stalled(accepted):
             reason = "stalled"
             break
-    return p, losses[1:], n_evals, reason
+    return p, losses, n_evals, reason
 
 
 def _solve(work, free, residuals, cfg: FitConfig, pin_step):
-    """Minimize the requested objective over work.z[free] and write the result back.
+    """Minimize the exact L1 objective over work.z[free] and write the result back.
 
-    residuals(p) returns (r, scale, jac) at heights p.  The Huber lead-in is
-    kept only where it lowers the requested objective, so a fit never ends
-    above its start.  Returns (work, FitReport).
+    residuals(p) returns (r, scale, jac) at heights p.  Returns (work, FitReport).
     """
-    requested, lead = cfg.smooth_delta, cfg.continuation_delta
-
-    def score(r, scale):
-        return float(scale @ _l1(r, requested)[0])
-
-    p = work.z[free]
-    r, scale, jac = residuals(p)
-    history = [score(r, scale)]
-    _require_finite(history[0], jac, history)
-    n_steps, n_evals = 0, 1
-    if history[0] <= cfg.tol or p.size == 0:
-        if p.size == 0:
-            log.warning("nothing to optimize: no free z entries")
-        reason = "target" if history[0] <= cfg.tol else "stationary"
-    else:
-        if lead is not None and (requested is None or requested < lead):
-            q, scores, evals, _ = _gauss_newton(
-                p, residuals, lead, score, max_steps=cfg.max_steps, target=cfg.tol
-            )
-            n_steps, n_evals = len(scores), n_evals + evals
-            history += scores
-            if scores and scores[-1] < history[0]:
-                p = q
-            elif scores:
-                history.append(history[0])
-        budget = cfg.max_steps - n_steps
-        if requested is None:
-            p, scores, evals, reason = _sequential_lp(p, residuals, max_steps=budget, target=cfg.tol)
-        else:
-            p, scores, evals, reason = _gauss_newton(
-                p, residuals, requested, score, max_steps=budget, target=cfg.tol
-            )
-        history += scores
-        n_steps += len(scores)
-        n_evals += evals
+    p, history, n_evals, reason = _sequential_lp(
+        work.z[free], residuals, max_steps=cfg.max_steps, target=cfg.tol
+    )
+    n_steps = len(history) - 1
     if reason not in ("target", "stationary"):
         log.info("fit stopped %s after %d steps", reason, n_steps)
     work.z[free] = p

@@ -42,6 +42,9 @@ _MAX_PERTURB_DEG = 5.0
 # (y_end - y_start) / point_spacing_m above this is refused: the fine grid of
 # every lane would hold more samples than any scene needs (the default is 196)
 _MAX_LANE_SAMPLES = 100_000
+# lane_count above this is refused: at a 3.5 m lane width sixteen lines span
+# 52 m, far past the anchor grid's 20 m, and the default is 4
+_MAX_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ class SceneSample:
 def _validate_spec(spec: SceneSpec) -> None:
     if spec.profile not in PROFILES:
         raise InvalidSpecError(f"unknown profile {spec.profile!r}; choose from {PROFILES}")
-    if spec.lane_count < 2:
-        raise InvalidSpecError("need at least two lane lines")
+    if not (2 <= spec.lane_count <= _MAX_LANES):
+        raise InvalidSpecError(f"lane_count must lie in [2, {_MAX_LANES}]")
     require_finite(spec, _NUMERIC_FIELDS, InvalidSpecError)  # None keeps the profile default
     if spec.lane_width_m <= 0:
         raise InvalidSpecError("lane width must be positive")

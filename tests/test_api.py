@@ -1,9 +1,12 @@
-"""Guard: every public name is used by the library itself or is a documented entry point.
+"""Guard: every name the library defines is used by the library itself.
 
-Public names are `bevlane.__all__` less its submodules.  A name counts as
-used when a library module reads it outside the top-level statement that
-defines it.  The package's `__init__` is left out: its imports are the
-exports themselves.
+Public names are `bevlane.__all__` less its submodules; each must be read
+by the library or be a documented entry point.  Private names are the
+module-level `_name` functions, classes and constants of every module; each
+must be read by the library, so no helper or constant outlives the code
+that used it.  A name counts as used when a library module reads it
+outside the top-level statement that defines it.  The package's `__init__`
+is left out: its imports are the exports themselves.
 """
 
 import ast
@@ -28,12 +31,17 @@ def _defined(stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def library_modules():
+    """(path, top-level statements) of every library module but `__init__`."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text(encoding="utf-8")).body
+
+
 def library_uses() -> set[str]:
     used = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for _, body in library_modules():
+        for stmt in body:
             defined = _defined(stmt)
             used |= {
                 node.id
@@ -54,3 +62,16 @@ def test_every_public_name_has_a_library_use():
 def test_entry_points_are_public_and_unused():
     assert set(ENTRY_POINTS) <= set(bevlane.__all__)
     assert not set(ENTRY_POINTS) & library_uses()
+
+
+def test_every_private_name_has_a_library_use():
+    private = {
+        f"{path.stem}.{name}"
+        for path, body in library_modules()
+        for stmt in body
+        for name in _defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    used = library_uses()
+    unused = {qualified for qualified in private if qualified.split(".")[1] not in used}
+    assert not unused, f"private names nothing reads: {sorted(unused)}"

@@ -260,6 +260,8 @@ def test_sharp_bend_raises():
         {"profile": "fork", "gap_m": math.inf},
         {"profile": "fork", "fork_divergence": math.nan},
         {"seed": -1},
+        {"lane_count": 17},  # past the lane cap
+        {"lane_count": 100_000},
     ],
 )
 def test_spec_validation(kwargs):
