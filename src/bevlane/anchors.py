@@ -113,13 +113,15 @@ class AnchorTensor:
         return cls(grid)
 
     def copy(self) -> "AnchorTensor":
-        return AnchorTensor(
-            self.grid,
-            prob=self.prob.copy(),
-            x_offsets=self.x_offsets.copy(),
-            z=self.z.copy(),
-            vis=self.vis.copy(),
-        )
+        """An independent copy of the four arrays; the grid is shared.
+
+        Skips the checks in __init__, which the source already passed.
+        """
+        out = object.__new__(type(self))
+        out.grid = self.grid
+        out.prob, out.x_offsets = self.prob.copy(), self.x_offsets.copy()
+        out.z, out.vis = self.z.copy(), self.vis.copy()
+        return out
 
     def abs_x(self) -> np.ndarray:
         """Absolute flat-ground lateral position per (anchor, layer, step)."""

@@ -13,6 +13,7 @@ All outputs are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -309,7 +310,11 @@ def cmd_plot(args) -> int:
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it:
+    parsing keeps no state in the parser, and building it costs more than
+    parsing."""
     parser = _Parser(prog="bevlane", description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,7 +4,9 @@ Everything that indicates bad user input or geometrically impossible data
 derives from LaneError (a ValueError), so callers can catch one base class.
 Numeric failures of iterative procedures derive from NumericError instead:
 they mean the computation was well posed but did not succeed.
-`require_finite` is the finiteness check every config shares.
+`require_finite` is the finiteness check every config shares; `require_within`
+checks fields against documented closed ranges, which also excludes non-finite
+values.
 """
 
 import numpy as np
@@ -48,6 +50,16 @@ def require_finite(obj, names, error=InvalidInputError) -> None:
         value = getattr(obj, name)
         if value is not None and not np.isfinite(value).all():
             raise error(f"{name} must be finite, got {value!r}")
+
+
+def require_within(obj, ranges, error=InvalidInputError) -> None:
+    """Every named field of obj that is set lies in its closed range: ranges maps
+    a name to (lo, hi), and every element of a tuple field must lie in it (None
+    means unset; NaN lies in no range)."""
+    for name, (lo, hi) in ranges.items():
+        value = getattr(obj, name)
+        if value is not None and not all(lo <= v <= hi for v in np.ravel(value)):
+            raise error(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
 
 
 class NumericError(RuntimeError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import PROB_ACTIVE_THRESHOLD, VIS_DECODE_THRESHOLD, AnchorTensor
-from .errors import DegenerateSegmentError, InvalidInputError, require_finite
+from .errors import DegenerateSegmentError, InvalidInputError, require_within
 from .geometry import CameraPose, masked_row_sums
 
 _BCE_EPS = 1e-7
@@ -36,7 +36,12 @@ _TINY = 1e-15
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Per-term weights for the combined objectives; defaults are all 1."""
+    """Per-term weights for the combined objectives; defaults are all 1.
+
+    Each weight lies in [0, 1e6]: 0 switches a term off, and 1e6 lets one
+    term outweigh another by six orders of magnitude without overflowing
+    the weighted gradients.
+    """
 
     bev: float = 1.0
     width: float = 1.0
@@ -45,10 +50,7 @@ class LossWeights:
     pitch: float = 1.0
 
     def __post_init__(self):
-        names = ("bev", "width", "height", "z", "pitch")
-        require_finite(self, names)
-        if any(getattr(self, name) < 0 for name in names):
-            raise InvalidInputError("loss weights must be >= 0")
+        require_within(self, dict.fromkeys(("bev", "width", "height", "z", "pitch"), (0.0, 1e6)))
 
 
 class LossGrads:

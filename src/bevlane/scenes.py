@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorGridSpec
-from .errors import BehindCameraError, InvalidSpecError, require_finite
+from .errors import BehindCameraError, InvalidSpecError, require_within
 from .geometry import (
     DEFAULT_INTRINSICS,
     CameraPose,
@@ -49,7 +49,12 @@ _MAX_LANES = 16
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Knobs of one synthetic scene; None means profile-default drawn from seed."""
+    """Knobs of one synthetic scene; None means profile-default drawn from seed.
+
+    Each numeric field must lie in its closed range in `_SPEC_RANGES`, units
+    as below (lane_width_m [0.5, 10] m, crown_slope [0, 0.5], ...);
+    `make_scene` raises InvalidSpecError naming the first field outside it.
+    """
 
     profile: str = "flat"
     lane_count: int = 4
@@ -72,11 +77,25 @@ class SceneSpec:
     anchor_grid: AnchorGridSpec | None = None
 
 
-_NUMERIC_FIELDS = (
-    "lane_width_m", "grade", "bend_radius_m", "bend_arc_deg", "gap_m", "fork_divergence",
-    "crown_slope", "pitch_rad", "height_m", "y_start", "y_end", "point_spacing_m",
-    "pixel_jitter_px",
-)
+# the physical range of each numeric field, closed at both ends; a value
+# outside it, NaN and inf included, raises InvalidSpecError naming the field.
+# The upper ends keep the scene's arithmetic finite: numbers like 1e308
+# would overflow on the way and fail late, naming no field
+_SPEC_RANGES = {
+    "lane_width_m": (0.5, 10.0),
+    "grade": (-1.0, 1.0),  # each of c0 (m), c1 (m/m, 1 is a 45 degree grade), c2 (1/m)
+    "bend_radius_m": (30.0, 1e5),  # below 30 m is outside the supported regime
+    "bend_arc_deg": (0.1, 88.0),  # near 90 degrees the road runs across the view
+    "gap_m": (0.01, 10.0),
+    "fork_divergence": (0.0, 0.1),  # m of extra gap per m forward
+    "crown_slope": (0.0, 0.5),  # m of drop per m of |x|
+    "pitch_rad": (-0.5, 0.5),
+    "height_m": (0.1, 10.0),
+    "y_start": (0.1, 1000.0),
+    "y_end": (0.1, 1000.0),
+    "point_spacing_m": (1e-3, 10.0),
+    "pixel_jitter_px": (0.0, 100.0),
+}
 
 
 @dataclass
@@ -112,31 +131,15 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise InvalidSpecError(f"unknown profile {spec.profile!r}; choose from {PROFILES}")
     if not (2 <= spec.lane_count <= _MAX_LANES):
         raise InvalidSpecError(f"lane_count must lie in [2, {_MAX_LANES}]")
-    require_finite(spec, _NUMERIC_FIELDS, InvalidSpecError)  # None keeps the profile default
-    if spec.lane_width_m <= 0:
-        raise InvalidSpecError("lane width must be positive")
-    if not (0 < spec.y_start < spec.y_end):
-        raise InvalidSpecError("require 0 < y_start < y_end")
-    if spec.point_spacing_m <= 0:
-        raise InvalidSpecError("point spacing must be positive")
+    require_within(spec, _SPEC_RANGES, InvalidSpecError)  # None keeps the profile default
+    if not spec.y_start < spec.y_end:
+        raise InvalidSpecError("require y_start < y_end")
     if (spec.y_end - spec.y_start) / spec.point_spacing_m > _MAX_LANE_SAMPLES:
         raise InvalidSpecError(
             f"(y_end - y_start) / point_spacing_m exceeds {_MAX_LANE_SAMPLES} samples per lane"
         )
-    if spec.height_m <= 0:
-        raise InvalidSpecError("camera height must be positive")
-    if spec.pixel_jitter_px < 0:
-        raise InvalidSpecError("pixel jitter must be >= 0")
     if spec.seed < 0:
         raise InvalidSpecError("seed must be >= 0")
-    if spec.bend_radius_m is not None and spec.bend_radius_m < 30:
-        raise InvalidSpecError("bend radius below 30 m is outside the supported regime")
-    if not (0 < spec.bend_arc_deg < 89):
-        raise InvalidSpecError("bend arc must lie in (0, 89) degrees")
-    if spec.gap_m is not None and spec.gap_m <= 0:
-        raise InvalidSpecError("fork/curb gap must be positive")
-    if spec.crown_slope < 0:
-        raise InvalidSpecError("crown slope must be >= 0")
 
 
 def _resolve(spec: SceneSpec, rng: np.random.Generator) -> ResolvedScene:

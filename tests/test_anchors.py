@@ -68,10 +68,20 @@ def test_tensor_validation():
 
 
 def test_tensor_copy_is_independent():
-    t = AnchorTensor.empty(small_grid())
+    grid = small_grid()
+    rng = np.random.default_rng(0)
+    shape = (grid.n_anchors, 2, grid.n_steps)
+    t = AnchorTensor(grid, prob=rng.uniform(size=(grid.n_anchors, 2)), x_offsets=rng.normal(size=shape),
+                     z=rng.normal(size=shape), vis=rng.uniform(size=shape))
     c = t.copy()
-    c.prob[0, 0] = 1.0
-    assert t.prob[0, 0] == 0.0
+    assert type(c) is AnchorTensor and c.grid == t.grid
+    fields = ("prob", "x_offsets", "z", "vis")
+    before = {name: getattr(t, name).copy() for name in fields}
+    for name in fields:
+        np.testing.assert_array_equal(getattr(c, name), before[name])
+        getattr(c, name)[...] = 0.5
+    for name in fields:
+        np.testing.assert_array_equal(getattr(t, name), before[name])
 
 
 def test_associate_layers_and_drops():

@@ -293,14 +293,23 @@ def test_usage_errors_exit_64(capsys, tmp_path):
         ["--perturb-pitch-deg", "1", "--perturb-seed=-1"],
         ["--lanes", "17"],
         ["--lanes", "100000"],
+        # finite but past the field's range: refused before any arithmetic
+        # overflows, by an error that names the field
+        ["--profile", "fork", "--gap", "1e308"],
+        ["--jitter-px", "1e308"],
+        ["--crown", "1e308"],
+        ["--height", "1e308"],
+        ["--grade", "0", "0", "1e308"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_synth_rejects_bad_numbers(capsys, tmp_path, flags):
     out = tmp_path / "o.json"
     code = main(["synth", *flags, "--out", str(out)])
     assert code == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "serialize" not in err
     assert not out.exists()
 
 
@@ -505,6 +514,7 @@ BAD_NUMBERS = [
     ("loss", ["--smooth-delta", "-1"], EXIT_INVALID),
     ("loss", ["--smooth-delta", "nan"], EXIT_INVALID),
     ("loss", ["--pred-pitch-deg", "nan", "--calib-pitch-deg", "0"], EXIT_INVALID),
+    ("loss", ["--weights", "width=1e308"], EXIT_INVALID),
 ]
 
 

@@ -274,9 +274,10 @@ def test_total_ws_pitch_term():
 def test_loss_weights_validation():
     LossWeights(bev=0.0, width=0.0, height=0.0, z=0.0, pitch=0.0)  # zero switches a term off
     for name in ("bev", "width", "height", "z", "pitch"):
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(InvalidInputError):
+        for bad in (-1.0, math.nan, math.inf, 1e308, 1.000001e6):
+            with pytest.raises(InvalidInputError, match=name):
                 LossWeights(**{name: bad})
+    LossWeights(bev=1e6)  # the upper edge is accepted
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])

@@ -245,7 +245,7 @@ def test_sharp_bend_raises():
         {"y_start": math.nan},
         {"point_spacing_m": math.nan},
         {"point_spacing_m": math.inf},
-        {"point_spacing_m": 1e-9},  # a 1e11-sample lane: refused by the sample cap
+        {"point_spacing_m": 1e-9},  # a 1e11-sample lane, below the spacing's range
         {"y_end": 1e6},
         {"pixel_jitter_px": math.nan},
         {"pixel_jitter_px": -1.0},
@@ -262,10 +262,24 @@ def test_sharp_bend_raises():
         {"seed": -1},
         {"lane_count": 17},  # past the lane cap
         {"lane_count": 100_000},
+        {"y_end": 1000.0, "point_spacing_m": 0.005},  # in range, past the sample cap
+        # finite but outside the field's physical range
+        {"lane_width_m": 1e308},
+        {"grade": (0.0, 0.0, 1e308)},
+        {"profile": "bend", "bend_radius_m": 1e308},
+        {"bend_arc_deg": 89.0},
+        {"profile": "fork", "gap_m": 1e308},
+        {"profile": "fork", "fork_divergence": -0.01},
+        {"crown_slope": 1e308},
+        {"pitch_rad": 1e308},
+        {"height_m": 1e308},
+        {"y_start": 1e308},
+        {"point_spacing_m": 1e308},
+        {"pixel_jitter_px": 1e308},
     ],
 )
 def test_spec_validation(kwargs):
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match=list(kwargs)[-1]):  # the error names the field
         make_scene(SceneSpec(**kwargs))
 
 
