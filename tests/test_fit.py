@@ -270,7 +270,7 @@ def test_fit_report_counts(bend_scene, default_grid):
     assert len(report.history) >= report.n_steps
 
 
-def test_fit_ws_plain_bends_lp_budget(default_grid):
+def test_fit_ws_plain_bends_lp_budget():
     # from the closed form, every plain bend reaches its vertex minimum within
     # five LPs; a first trust radius that holds back the first step needs more
     for seed in range(20):
