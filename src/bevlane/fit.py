@@ -18,7 +18,8 @@ two terms (width differences and height gaps, with their Jacobian in z) is
 then minimized by sequential linear programming: each step minimizes the L1
 norm of the linearized residuals inside a trust region, and a step whose
 predicted decrease is at most `tol` certifies a first-order L1 stationary
-point.
+point.  Each step's LP goes straight to the HiGHS bindings bundled with scipy
+(dual simplex, presolve off), the solver `scipy.optimize.linprog` wraps.
 """
 
 from __future__ import annotations
@@ -204,6 +205,12 @@ def _sequential_lp(p, evaluate, *, max_steps, target):
     a first-order stationary point.  Returns (p, losses, n_evals, reason);
     each LP solved is a step, and losses holds the start's loss, then the
     loss after each step.
+
+    One HiGHS object from scipy's bundled bindings solves every LP of the
+    fit, with the settings `linprog(method="highs", options={"presolve":
+    False})` passes, so the steps equal linprog's bit for bit.  Each LP is
+    handed over in compressed-column form and solved cold: no basis is
+    carried from one LP to the next.
     """
     r, scale, jac = evaluate(p)
     loss = float(scale @ np.abs(r))
@@ -214,30 +221,48 @@ def _sequential_lp(p, evaluate, *, max_steps, target):
     if p.size == 0:
         log.warning("nothing to optimize: no free z entries")
         return p, losses, 1, "stationary"
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
 
     n, m = p.size, r.size
-    cost = np.concatenate([np.zeros(n), scale, scale])
-    bounds = np.zeros((n + 2 * m, 2))
-    bounds[n:, 1] = np.inf
-    eye = np.eye(m)
+    # linprog's settings; presolve took 15-25% of the time of each of these
+    # LPs, a few hundred columns (captured plain bend LPs, timed with and without)
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_strategy", _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n + 2 * m
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.col_cost_ = np.concatenate([np.zeros(n), scale, scale])
+    lower = np.zeros(n + 2 * m)
+    upper = np.full(n + 2 * m, _core.kHighsInf)
+    # columns n.. are t- then t+: one -1, then one +1, in each row
+    tail_index = np.tile(np.arange(m), 2)
+    tail_value = np.repeat([-1.0, 1.0], m)
     radius = _RADIUS0
     accepted = [loss]
     n_evals = 1
     reason = "max_steps"
     for step in range(max_steps):
         # heights no residual depends on stay where they are
-        bounds[:n, 1] = np.where(np.any(jac != 0, axis=0), radius, 0.0)
-        bounds[:n, 0] = -bounds[:n, 1]
-        # presolve took 15-25% of the time of each of these LPs, a few hundred
-        # dense columns (captured plain bend LPs, timed with and without)
-        lp = linprog(
-            cost, A_eq=np.hstack([jac, -eye, eye]), b_eq=-r, bounds=bounds, method="highs",
-            options={"presolve": False},
+        upper[:n] = np.where(np.any(jac != 0, axis=0), radius, 0.0)
+        lower[:n] = -upper[:n]
+        lp.col_lower_, lp.col_upper_ = lower, upper
+        lp.row_lower_ = lp.row_upper_ = -r
+        # [J, -I, I] in compressed columns: J's nonzeros column by column, then the tail
+        col, row = np.nonzero(jac.T)
+        lp.a_matrix_.start_ = np.concatenate(
+            [np.searchsorted(col, np.arange(n + 1)), col.size + np.arange(1, 2 * m + 1)]
         )
-        if lp.status != 0:
-            raise NumericError(f"LP step {step} failed: {lp.message}")
-        d = lp.x[:n]
+        lp.a_matrix_.index_ = np.concatenate([row, tail_index])
+        lp.a_matrix_.value_ = np.concatenate([jac[row, col], tail_value])
+        highs.passModel(lp)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _core.HighsModelStatus.kOptimal:
+            raise NumericError(f"LP step {step} failed: {highs.modelStatusToString(status)}")
+        d = np.array(highs.getSolution().col_value[:n])
         predicted = loss - float(scale @ np.abs(r + jac @ d))
         if predicted <= target:
             losses.append(loss)

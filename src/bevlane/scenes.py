@@ -251,10 +251,14 @@ def _preimages_of_flat_y(targets, z_of_y, h: float, lo: float, hi: float) -> np.
     return np.where(outside, np.nan, 0.5 * (lo + hi))
 
 
-def _sample_nodes(spec: SceneSpec, grid: AnchorGridSpec, z_of_y, h: float) -> np.ndarray:
+def _sample_nodes(spec: SceneSpec, grid: AnchorGridSpec, z_of_y, h: float, extra=()):
+    """y samples of a lane on the surface z_of_y, and the pre-images of the
+    flat distances `extra`, bisected together with the anchor rows."""
+    steps = grid.y_steps_array()
+    pre = _preimages_of_flat_y(np.append(steps, extra), z_of_y, h, spec.y_start, spec.y_end)
+    rows = pre[: steps.size]
     fine = np.arange(spec.y_start, spec.y_end, spec.point_spacing_m)
-    rows = _preimages_of_flat_y(grid.y_steps_array(), z_of_y, h, spec.y_start, spec.y_end)
-    return np.unique(np.concatenate([fine, [spec.y_end], rows[~np.isnan(rows)]]))
+    return np.unique(np.concatenate([fine, [spec.y_end], rows[~np.isnan(rows)]])), pre[steps.size :]
 
 
 def _build_lane(spec: SceneSpec, grid, x_of_y, z_of_y, crown: float, h: float, nodes) -> Lane3D:
@@ -266,7 +270,7 @@ def _build_lane(spec: SceneSpec, grid, x_of_y, z_of_y, crown: float, h: float, n
             z = z - crown * np.abs(x_of_y(y))
         return z
 
-    y = _sample_nodes(spec, grid, surface_z, h) if nodes is None else nodes
+    y = _sample_nodes(spec, grid, surface_z, h)[0] if nodes is None else nodes
     x = x_of_y(y)
     z = np.asarray(surface_z(y), dtype=float)
     if np.any(z >= h):
@@ -300,11 +304,20 @@ def make_scene(spec: SceneSpec = SceneSpec()) -> SceneSample:
     h = spec.height_m
     z_of_y = _grade_fn(resolved.grade)
 
+    # without a crown every lane lies on the one surface z(y), so its anchor
+    # rows, and the reference distance of a fork or curb, have the same
+    # pre-images: bisect them once for the whole scene
+    extra = [] if resolved.branch_of is None else [grid.y_ref]
+    if spec.crown_slope == 0:
+        nodes, extra_pre = _sample_nodes(spec, grid, z_of_y, h, extra)
+    else:
+        nodes, extra_pre = None, [_preimages_of_flat_y(t, z_of_y, h, spec.y_start, spec.y_end) for t in extra]
+
     if resolved.branch_of is not None:
         # park the branching lane on an anchor center so both lines of the
         # split always collide on the same anchor at the reference distance
         base_offset = resolved.lane_offsets[resolved.branch_of]
-        y_ref_pre = float(_preimages_of_flat_y(grid.y_ref, z_of_y, h, spec.y_start, spec.y_end))
+        y_ref_pre = float(extra_pre[0])
         if math.isnan(y_ref_pre):
             raise InvalidSpecError("reference distance lies outside the lane span")
         z_ref = float(z_of_y(y_ref_pre))
@@ -314,9 +327,6 @@ def make_scene(spec: SceneSpec = SceneSpec()) -> SceneSample:
         resolved.lane_offsets = resolved.lane_offsets + shift
         resolved.lateral_shift += shift
 
-    # without a crown every lane lies on the one surface z(y), so its anchor
-    # rows have the same pre-images: bisect them once for the whole scene
-    nodes = None if spec.crown_slope > 0 else _sample_nodes(spec, grid, z_of_y, h)
     lanes3d: list[Lane3D] = []
     for offset in resolved.lane_offsets:
         x_of_y = _lateral_fn(resolved, float(offset))

@@ -16,7 +16,7 @@ from bevlane import (
     make_scene,
     width_loss,
 )
-from bevlane.errors import DivergedError, InvalidInputError
+from bevlane.errors import DivergedError, InvalidInputError, NumericError
 from bevlane.fit import STOP_REASONS, _free_z_mask, _solve_weak, bev_row_widths, first_pinnable_step
 from bevlane.losses import ordered_active_layer1, second_layer_mask, weak_residuals
 from conftest import gauge_transform
@@ -334,3 +334,87 @@ def test_fit_ws_keeps_progressing_on_crowned_forks(seed):
     fitted, report = fit_ws(weak_start(encoded), sample.pose)
     start = closed_form_start(encoded, sample.pose, report.pinned_step)
     assert weak_l1(fitted, sample.pose) <= 0.85 * weak_l1(start, sample.pose)
+
+
+def _record_highs(monkeypatch, on_run=None):
+    """Record every LP fit_ws hands HiGHS, with its solution; `on_run(highs, k)`
+    runs before the k-th solve."""
+    from scipy.optimize._highspy import _core
+
+    lps = []
+
+    class Recording(_core._Highs):
+        def passModel(self, lp):
+            a = lp.a_matrix_
+            lps.append({
+                "cost": np.array(lp.col_cost_), "lower": np.array(lp.col_lower_),
+                "upper": np.array(lp.col_upper_), "row_lower": np.array(lp.row_lower_),
+                "row_upper": np.array(lp.row_upper_), "start": np.array(a.start_),
+                "index": np.array(a.index_), "value": np.array(a.value_),
+            })
+            return super().passModel(lp)
+
+        def run(self):
+            if on_run is not None:
+                on_run(self, len(lps) - 1)
+            return super().run()
+
+        def getSolution(self):
+            solution = super().getSolution()
+            lps[-1]["x"] = np.array(solution.col_value)
+            return solution
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    return lps
+
+
+def test_sequential_lp_matches_linprog_bit_for_bit(monkeypatch):
+    # the step LP goes to scipy's private HiGHS bindings with linprog's
+    # settings; a scipy whose bindings solve it differently fails here
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    evaluated = []
+
+    def residuals(*args, **kwargs):
+        evaluated.append(weak_residuals(*args, **kwargs))
+        return evaluated[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr("bevlane.fit.weak_residuals", residuals)
+        lps = _record_highs(patch)
+        for profile, seed, crown in [("bend", s, 0.0) for s in range(5)] + [("uphill", 0, 0.02)]:
+            sample, encoded = encoded_scene(profile, seed, crown_slope=crown)
+            fit_ws(weak_start(encoded), sample.pose)
+    assert len(lps) > 40
+    for lp in lps:
+        m = lp["row_lower"].size
+        n = lp["cost"].size - 2 * m
+        a = csc_array((lp["value"], lp["index"], lp["start"]), shape=(m, n + 2 * m)).toarray()
+        jac, eye = a[:, :n], np.eye(m)
+        np.testing.assert_array_equal(a[:, n:], np.hstack([-eye, eye]))
+        # the LP linearizes a residual vector the fit evaluated
+        assert any(
+            np.array_equal(jac, e_jac) and np.array_equal(lp["row_lower"], -r)
+            for r, _, e_jac in evaluated
+        )
+        np.testing.assert_array_equal(lp["row_upper"], lp["row_lower"])
+        ref = linprog(
+            lp["cost"], A_eq=np.hstack([jac, -eye, eye]), b_eq=lp["row_lower"],
+            bounds=np.stack([lp["lower"], lp["upper"]], axis=1), method="highs",
+            options={"presolve": False},
+        )
+        assert ref.status == 0
+        np.testing.assert_array_equal(lp["x"][:n], ref.x[:n])
+
+
+def test_sequential_lp_failure_names_the_step(monkeypatch, bend_scene, default_grid):
+    def starve_second_lp(highs, k):
+        if k == 1:
+            highs.setOptionValue("simplex_iteration_limit", 0)
+
+    lps = _record_highs(monkeypatch, starve_second_lp)
+    encoded = encode_gt(bend_scene.lanes_bev, default_grid)
+    with pytest.raises(NumericError, match=r"^LP step 1 failed: Iteration limit reached$"):
+        fit_ws(weak_start(encoded), bend_scene.pose)
+    assert len(lps) == 2
