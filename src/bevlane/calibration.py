@@ -6,9 +6,9 @@ out as straight but non-parallel lines: a lane at lateral position x maps to
 
     x_flat = (x * sin(err) / h) * y_flat + x * cos(err)
 
-so slope and intercept of any two fitted lines give the error back as
-
-    err = atan(h * (k2 - k1) / (c2 - c1)).
+so the fitted slopes k and intercepts c of all lanes lie on one line
+k = k0 + c * tan(err) / h (the vanishing-point view of the error), and the
+slope b of a weighted least-squares fit through them gives err = atan(h * b).
 
 Only the near field (y_flat below y_close) is used: there the straight-lane
 assumption holds best on real roads.  One iteration is exact for straight
@@ -18,7 +18,7 @@ lanes; further iterations refine noisy fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import IllConditionedError, InsufficientPointsError, InvalidInputEr
 from .geometry import CameraPose, Intrinsics, flat_from_image_points
 
 MIN_INTERCEPT_GAP_M = 0.2
+_K_VAR_FLOOR = 1e-30  # exact, noiseless lines get equal finite weights
 
 
 @dataclass(frozen=True)
@@ -53,26 +54,16 @@ class FittedLine:
     k: float
     c: float
     n_points: int
-    residual: float  # RMS, meters
-
-
-@dataclass(frozen=True)
-class PairEstimate:
-    """Pitch implied by one adjacent pair of fitted lines."""
-
-    left: FittedLine
-    right: FittedLine
-    pitch_rad: float
-    weight: float
+    k_var: float  # variance of k from the residuals, floored at _K_VAR_FLOOR
 
 
 @dataclass
 class CalibrationResult:
     pitch_rad: float
-    pairs: list[PairEstimate] = field(default_factory=list)
-    dispersion_rad: float = 0.0
-    iterations: int = 0
-    converged: bool = False
+    lines: list[FittedLine]  # the last pass's lines
+    stderr_rad: float  # standard error of the last pass's correction
+    iterations: int
+    converged: bool
 
     @property
     def pitch_deg(self) -> float:
@@ -80,18 +71,19 @@ class CalibrationResult:
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> FittedLine:
-    if x.size < 2:
-        raise InsufficientPointsError(f"line fit needs >= 2 points, got {x.size}")
-    k, c = np.polyfit(y, x, 1)
-    residual = float(np.sqrt(np.mean((k * y + c - x) ** 2)))
-    return FittedLine(float(k), float(c), int(x.size), residual)
+    if x.size < 3 or y.min() == y.max():
+        raise InsufficientPointsError(f"line fit needs >= 3 points at distinct y, got {x.size}")
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    dx, dy = x - x_mean, y - y_mean
+    s_yy = float(dy @ dy)
+    k = float(dy @ dx) / s_yy
+    res = dx - k * dy
+    k_var = max(float(res @ res) / (x.size - 2) / s_yy, _K_VAR_FLOOR)
+    return FittedLine(k, x_mean - k * y_mean, int(x.size), k_var)
 
 
-def _pair_pitch(left: FittedLine, right: FittedLine, h: float) -> float:
-    return math.atan(h * (right.k - left.k) / (right.c - left.c))
-
-
-def _iterate_once(lanes_2d, intr, h, assumed_pitch, cfg) -> tuple[float, list[PairEstimate]]:
+def _iterate_once(lanes_2d, intr, h, assumed_pitch, cfg) -> tuple[float, float, list[FittedLine]]:
+    """(pitch correction, its standard error, the lines fitted) at one assumed pitch."""
     pose = CameraPose(pitch_rad=assumed_pitch, height_m=h)
     lines: list[FittedLine] = []
     for uv in lanes_2d:
@@ -100,27 +92,30 @@ def _iterate_once(lanes_2d, intr, h, assumed_pitch, cfg) -> tuple[float, list[Pa
             raise InvalidInputError("each 2D lane must be an (N, 2) pixel array")
         flat, ok = flat_from_image_points(uv, intr, pose)
         near = ok & (flat[:, 1] < cfg.y_close_m)
-        if near.sum() < 2:
-            continue
-        lines.append(_fit_line(flat[near, 0], flat[near, 1]))
+        try:
+            lines.append(_fit_line(flat[near, 0], flat[near, 1]))
+        except InsufficientPointsError:
+            continue  # its slope has no variance to weigh it by
     if len(lines) < 2:
         raise InsufficientPointsError(
-            f"only {len(lines)} lanes have >= 2 near points; calibration needs >= 2"
+            f"only {len(lines)} lanes have >= 3 near points; calibration needs >= 2"
         )
-    lines.sort(key=lambda f: f.c)
-    pairs: list[PairEstimate] = []
-    for left, right in zip(lines[:-1], lines[1:]):
-        if abs(right.c - left.c) < MIN_INTERCEPT_GAP_M:
-            continue
-        weight = (left.n_points + right.n_points) / (1.0 + left.residual + right.residual)
-        pairs.append(PairEstimate(left, right, _pair_pitch(left, right, h), weight))
-    if not pairs:
+    return (*_pitch_from_lines(lines, h), lines)
+
+
+def _pitch_from_lines(lines: list[FittedLine], h: float) -> tuple[float, float]:
+    """(atan(h b), its standard error) for the weighted least-squares fit k = a + b c."""
+    k, c, k_var = np.array([(f.k, f.c, f.k_var) for f in lines]).T
+    if c.max() - c.min() < MIN_INTERCEPT_GAP_M:
         raise IllConditionedError(
-            f"all lane pairs are closer than {MIN_INTERCEPT_GAP_M} m in intercept; "
-            "cannot separate slope from offset"
+            f"lane intercepts span < {MIN_INTERCEPT_GAP_M} m; cannot separate slope from offset"
         )
-    delta = sum(p.pitch_rad * p.weight for p in pairs) / sum(p.weight for p in pairs)
-    return delta, pairs
+    w = 1.0 / k_var
+    dc, dk = c - (w @ c) / w.sum(), k - (w @ k) / w.sum()
+    s_cc = float(w @ (dc * dc))
+    b = float(w @ (dc * dk)) / s_cc
+    # var(b) = 1 / s_cc, and d atan(h b) / db = h / (1 + (h b)^2)
+    return math.atan(h * b), h / math.sqrt(s_cc) / (1.0 + (h * b) ** 2)
 
 
 def calibrate_pitch(
@@ -131,32 +126,25 @@ def calibrate_pitch(
 ) -> CalibrationResult:
     """Estimate camera pitch (nose-down positive, radians) from 2D lane labels.
 
-    Pairs are weighted by point count over (1 + fit residual); the aggregate
-    always lies between the per-pair extremes.  Diagnostics report the last
-    iteration's per-pair totals and their dispersion.
+    Each pass back-projects the labels at the current pitch, fits a line
+    x = k y + c to every lane's near points (a lane with fewer than 3, or
+    with all at one distance, is skipped), and fits k = a + b c by least
+    squares over those lines, each weighted by the inverse variance of its
+    slope.  The correction is atan(h b).  The result reports the last pass's
+    lines and the standard error of its correction; `converged` needs a
+    correction below `tol_rad`, so a single pass never confirms its own
+    fixpoint.
     """
     if h <= 0:
         raise InvalidInputError("camera height must be positive")
     pitch = 0.0
-    pairs: list[PairEstimate] = []
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        delta, raw_pairs = _iterate_once(lanes_2d, intr, h, pitch, cfg)
-        # report per-pair totals, not per-iteration corrections
-        pairs = [
-            PairEstimate(p.left, p.right, pitch + p.pitch_rad, p.weight) for p in raw_pairs
-        ]
+        delta, stderr, lines = _iterate_once(lanes_2d, intr, h, pitch, cfg)
         pitch += delta
         if abs(delta) < cfg.tol_rad:
             converged = True
             break
-    estimates = np.array([p.pitch_rad for p in pairs])
-    dispersion = float(estimates.std()) if estimates.size > 1 else 0.0
     return CalibrationResult(
-        pitch_rad=float(pitch),
-        pairs=pairs,
-        dispersion_rad=dispersion,
-        iterations=iterations,
-        converged=converged,
+        float(pitch), lines=lines, stderr_rad=stderr, iterations=iterations, converged=converged
     )

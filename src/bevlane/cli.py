@@ -86,10 +86,6 @@ def _weights_arg(text: str) -> dict[str, float]:
     return fields
 
 
-def _load(path) -> LaneFile:
-    return read_lane_file(path)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidInputError(message)
@@ -138,7 +134,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    lf = _load(args.input)
+    lf = read_lane_file(args.input)
     _require(len(lf.lanes_image) >= 2, "calibration needs at least two 2D lanes")
     _require(lf.intrinsics is not None, "input file carries no intrinsics")
     pose = _require_pose(lf)
@@ -147,8 +143,8 @@ def cmd_calibrate(args) -> int:
     doc = {
         "pitch_deg": result.pitch_deg,
         "pitch_rad": result.pitch_rad,
-        "n_pairs": len(result.pairs),
-        "dispersion_deg": math.degrees(result.dispersion_rad),
+        "n_lines": len(result.lines),
+        "stderr_deg": math.degrees(result.stderr_rad),
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -162,7 +158,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    lf = _load(args.input)
+    lf = read_lane_file(args.input)
     _require(len(lf.lanes_bev) >= 1, "no flat-ground lanes to encode")
     grid = AnchorGridSpec.default()
     assignment = associate(lf.lanes_bev, grid)
@@ -182,8 +178,8 @@ def cmd_encode(args) -> int:
 
 def cmd_loss(args) -> int:
     weights = LossWeights(**args.weights)
-    pred_lf = _load(args.pred)
-    gt_lf = _load(args.gt)
+    pred_lf = read_lane_file(args.pred)
+    gt_lf = read_lane_file(args.gt)
     _require(pred_lf.anchors is not None, "prediction file carries no anchors")
     _require(gt_lf.anchors is not None, "ground-truth file carries no anchors")
     pitch_pair = {}
@@ -199,13 +195,7 @@ def cmd_loss(args) -> int:
     if args.mode == "weak":
         pose = _require_pose(gt_lf)
         breakdown = total_ws(
-            pred_lf.anchors,
-            gt_lf.anchors,
-            pose,
-            weights,
-            normalize=args.normalize,
-            smooth_delta=args.smooth_delta,
-            **pitch_pair,
+            pred_lf.anchors, gt_lf.anchors, pose, weights, normalize=args.normalize, **pitch_pair
         )
     else:
         breakdown = total_sup(
@@ -216,7 +206,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    lf = _load(args.input)
+    lf = read_lane_file(args.input)
     _require(len(lf.lanes_bev) >= 2, "height fitting needs at least two flat-ground lanes")
     pose = _require_pose(lf)
     grid = AnchorGridSpec.default()
@@ -269,7 +259,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    lf = _load(args.input)
+    lf = read_lane_file(args.input)
     _require(lf.anchors is not None, "input file carries no anchors")
     before = int((lf.anchors.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
     lf.anchors = nms(lf.anchors, NmsConfig(d_thresh=args.d_thresh, prob_floor=args.prob_floor))
@@ -280,8 +270,8 @@ def cmd_nms(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred_lf = _load(args.pred)
-    gt_lf = _load(args.gt)
+    pred_lf = read_lane_file(args.pred)
+    gt_lf = read_lane_file(args.gt)
     cfg = EvalConfig(
         y_min=args.y_min,
         y_max=args.y_max,
@@ -299,8 +289,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    lf = _load(args.input)
-    pred = _load(args.pred) if args.pred else None
+    lf = read_lane_file(args.input)
+    pred = read_lane_file(args.pred) if args.pred else None
     write_svg(args.out, lf, pred)
     _print_json({"out": str(args.out)})
     return EXIT_OK
@@ -359,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("weak", "sup"), default="weak")
     p.add_argument("--weights", type=_weights_arg, default={})
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--smooth-delta", type=float, default=None)
     p.add_argument("--pred-pitch-deg", type=float, default=None)
     p.add_argument("--calib-pitch-deg", type=float, default=None)
     p.set_defaults(func=cmd_loss)

@@ -67,7 +67,7 @@ class NumericError(RuntimeError):
 
 
 class IllConditionedError(NumericError):
-    """Problem too degenerate to solve (e.g. all lane pairs nearly coincident)."""
+    """Problem too degenerate to solve (e.g. lane intercepts too close to separate pitch)."""
 
 
 class DivergedError(NumericError):

@@ -116,19 +116,6 @@ def ordered_active_layer1(tensor: AnchorTensor) -> list[int]:
     return [i for _, i in sorted(keyed)]
 
 
-def _l1(value: np.ndarray, smooth_delta: float | None):
-    """|value| or its smooth variant; returns (loss, dloss/dvalue) elementwise."""
-    if smooth_delta is None:
-        return np.abs(value), np.sign(value)
-    d = smooth_delta
-    if not (math.isfinite(d) and d > 0):
-        raise InvalidInputError(f"smooth_delta must be positive and finite, got {d!r}")
-    small = np.abs(value) < d
-    loss = np.where(small, value * value / (2 * d), np.abs(value) - d / 2)
-    grad = np.where(small, value / d, np.sign(value))
-    return loss, grad
-
-
 def _chord_index(n_steps: int) -> np.ndarray:
     """Step of the neighbour chord endpoint B for each step: the previous one, the next at j=0."""
     return np.concatenate([[1], np.arange(0, n_steps - 1)])
@@ -228,8 +215,8 @@ def _pairwise_total(terms: np.ndarray, keep: np.ndarray) -> float:
     return float(masked_row_sums(terms, keep).cumsum()[-1])
 
 
-def _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, spread=None):
-    """Sum of the L1 (or smoothed) terms of value (P, Y) over keep, with LossGrads.
+def _l1_loss(tensor, value, keep, partials, normalize, spread=None):
+    """Sum of the L1 terms of value (P, Y) over keep, with LossGrads.
 
     The tensor enters value through quantities q (P, Y) whose partials =
     (points, du, dz), du and dz (K, P, Y), hold dq in the layer-1 lateral
@@ -237,7 +224,8 @@ def _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, spread=None
     the positions.  spread maps dloss/dvalue to dloss/dq (default: value is q).
     """
     points, du, dz = partials
-    loss, dloss = _l1(np.where(keep, value, 0.0), smooth_delta)
+    value = np.where(keep, value, 0.0)
+    loss, dloss = np.abs(value), np.sign(value)
     total, n_terms = _pairwise_total(loss, keep), int(keep.sum())
     coeff = dloss if spread is None else spread(dloss)
     grads = LossGrads(tensor)
@@ -273,7 +261,6 @@ def width_loss(
     mask: np.ndarray | None = None,
     *,
     normalize: bool = False,
-    smooth_delta: float | None = None,
 ):
     """Sum of |W_j - W_{j-1}| over adjacent active lanes and consecutive steps.
 
@@ -285,7 +272,7 @@ def width_loss(
         mask = second_layer_mask(tensor)
     widths, valid, partials = _widths(tensor, pose, *_pairs(tensor, mask))
     value, keep = _width_rows(widths, valid)
-    return _l1_loss(tensor, value, keep, partials, smooth_delta, normalize, _spread_rows)
+    return _l1_loss(tensor, value, keep, partials, normalize, _spread_rows)
 
 
 def height_loss(
@@ -294,7 +281,6 @@ def height_loss(
     *,
     include_first_step: bool = False,
     normalize: bool = False,
-    smooth_delta: float | None = None,
 ):
     """Sum of |z_cur - z_prev| across adjacent active lanes at mutually visible steps.
 
@@ -307,7 +293,7 @@ def height_loss(
     value, keep = _height_rows(tensor, prev, cur, include_first_step)
     points = (np.stack([cur, prev])[:, :, None], np.arange(tensor.grid.n_steps))
     partials = (points, None, np.array([1.0, -1.0])[:, None, None])
-    return _l1_loss(tensor, value, keep, partials, smooth_delta, normalize)
+    return _l1_loss(tensor, value, keep, partials, normalize)
 
 
 def weak_residuals(
@@ -404,15 +390,14 @@ def z_loss(
     gt: AnchorTensor,
     *,
     normalize: bool = False,
-    smooth_delta: float | None = None,
 ):
     """Full supervision on heights: presence- and visibility-gated L1 on z."""
     _check_same_grid(pred, gt)
     grads = LossGrads(pred)
     gate = gt.prob[:, :, None] * gt.vis
-    per, dper = _l1(pred.z - gt.z, smooth_delta)
-    total = float((gate * per).sum())
-    grads.d_z = gate * dper
+    dz = pred.z - gt.z
+    total = float((gate * np.abs(dz)).sum())
+    grads.d_z = gate * np.sign(dz)
     if normalize:
         count = max(1, int((gate > 0).sum()))
         total /= count
@@ -449,7 +434,6 @@ def total_ws(
     calib_pitch_rad: float | None = None,
     mask: np.ndarray | None = None,
     normalize: bool = False,
-    smooth_delta: float | None = None,
 ) -> LossBreakdown:
     """Weakly supervised objective: flat-ground supervision plus the two road priors.
 
@@ -458,8 +442,8 @@ def total_ws(
     if mask is None:
         mask = second_layer_mask(gt)
     l_bev, g_bev = bev_loss(pred, gt, normalize=normalize)
-    l_w, g_w = width_loss(pred, pose, mask, normalize=normalize, smooth_delta=smooth_delta)
-    l_h, g_h = height_loss(pred, mask, normalize=normalize, smooth_delta=smooth_delta)
+    l_w, g_w = width_loss(pred, pose, mask, normalize=normalize)
+    l_h, g_h = height_loss(pred, mask, normalize=normalize)
     l_p = _optional_pitch(pred_pitch_rad, calib_pitch_rad)
     return _combine(
         {

@@ -14,7 +14,7 @@ from bevlane import (
     perturb_pitch,
     project_points3_to_image,
 )
-from bevlane.calibration import _fit_line, _pair_pitch, FittedLine
+from bevlane.calibration import _fit_line, _pitch_from_lines, FittedLine
 from bevlane.errors import (
     IllConditionedError,
     InsufficientPointsError,
@@ -28,12 +28,17 @@ def straight_lane_pixels(x, pitch_rad, n=30):
     return project_points3_to_image(pts, DEFAULT_INTRINSICS, CameraPose(pitch_rad, 1.5))
 
 
-def test_pair_pitch_frozen():
-    left = FittedLine(k=0.0, c=0.0, n_points=10, residual=0.0)
-    right = FittedLine(k=0.02, c=3.7, n_points=10, residual=0.0)
+def test_two_lines_give_the_pair_pitch_for_any_weights():
+    # a line through two points does not depend on their weights
     expected = math.atan(1.5 * 0.02 / 3.7)
-    assert _pair_pitch(left, right, 1.5) == pytest.approx(expected, abs=1e-15)
     assert math.degrees(expected) == pytest.approx(0.46455, abs=5e-6)
+    for k_vars in ((1e-30, 1e-30), (1e-8, 1e-2), (4.0, 1e-12)):
+        left = FittedLine(k=0.0, c=0.0, n_points=10, k_var=k_vars[0])
+        right = FittedLine(k=0.02, c=3.7, n_points=10, k_var=k_vars[1])
+        for lines in ([left, right], [right, left]):
+            pitch, stderr = _pitch_from_lines(lines, 1.5)
+            assert pitch == pytest.approx(expected, rel=1e-14)
+            assert stderr > 0
 
 
 def test_fit_line_matches_normal_equations():
@@ -46,8 +51,10 @@ def test_fit_line_matches_normal_equations():
     assert line.k == pytest.approx(k_ref, abs=1e-12)
     assert line.c == pytest.approx(c_ref, abs=1e-12)
     assert line.n_points == 40
-    resid_ref = float(np.sqrt(np.mean((k_ref * y + c_ref - x) ** 2)))
-    assert line.residual == pytest.approx(resid_ref, abs=1e-12)
+    # the slope's variance: residual variance times the (k, k) entry of (A^T A)^-1
+    res = k_ref * y + c_ref - x
+    k_var_ref = (res @ res) / (40 - 2) * np.linalg.inv(a.T @ a)[0, 0]
+    assert line.k_var == pytest.approx(k_var_ref, rel=1e-9)
 
 
 def test_fit_line_needs_two_points():
@@ -82,9 +89,8 @@ def test_calibration_ignores_points_beyond_y_close():
             n_near.append(int((~far).sum()))
         result = calibrate_pitch(corrupted, sample.intrinsics, 1.5, cfg)
         assert result.pitch_rad == clean.pitch_rad  # bit for bit
-        assert result.pairs == clean.pairs
-        lines = [p.left for p in result.pairs] + [result.pairs[-1].right]
-        assert sorted(line.n_points for line in lines) == sorted(n_near)
+        assert result.lines == clean.lines
+        assert sorted(line.n_points for line in result.lines) == sorted(n_near)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
@@ -93,8 +99,8 @@ def test_recovers_pitch_exactly_on_straight_lanes(flat_scene, seed):
     result = calibrate_pitch(sample.lanes_2d, sample.intrinsics, sample.pose.height_m)
     assert abs(result.pitch_rad - sample.pose.pitch_rad) < 1e-10
     assert result.iterations == 1
-    assert len(result.pairs) == len(sample.lanes3d) - 1
-    assert result.dispersion_rad < 1e-12
+    assert len(result.lines) == len(sample.lanes3d)
+    assert result.stderr_rad < 1e-12
 
 
 def test_two_iterations_confirm_convergence(flat_scene):
@@ -107,11 +113,26 @@ def test_two_iterations_confirm_convergence(flat_scene):
     assert abs(two.pitch_rad - sample.pose.pitch_rad) < 1e-10
 
 
-def test_pair_totals_agree_with_aggregate(flat_scene):
-    sample = perturb_pitch(flat_scene, 2.0, 11)
-    result = calibrate_pitch(sample.lanes_2d, sample.intrinsics, 1.5)
-    per_pair = [p.pitch_rad for p in result.pairs]
-    assert min(per_pair) - 1e-12 <= result.pitch_rad <= max(per_pair) + 1e-12
+@pytest.mark.parametrize("seed", range(6))
+def test_curb_pitch_within_005_deg(seed):
+    # the curb lane sits about 0.25 m from its neighbour, too close to tell
+    # the pitch from those two lanes alone; the 3.7 m gaps must carry it
+    scene = make_scene(SceneSpec(profile="curb", seed=seed, pixel_jitter_px=0.3))
+    sample = perturb_pitch(scene, 3.0, seed)
+    result = calibrate_pitch(sample.lanes_2d, sample.intrinsics, sample.pose.height_m)
+    assert abs(math.degrees(result.pitch_rad - sample.pose.pitch_rad)) <= 0.05
+
+
+def test_stderr_is_the_scale_of_the_error_on_flat_roads():
+    # on a flat road the error is pixel noise, which the slopes' variances
+    # measure; on graded roads the straight-road model's bias adds to it
+    z = []
+    for seed in range(20):
+        scene = make_scene(SceneSpec(profile="flat", seed=seed, pixel_jitter_px=0.3))
+        sample = perturb_pitch(scene, 3.0, seed)
+        result = calibrate_pitch(sample.lanes_2d, sample.intrinsics, 1.5, CalibConfig(max_iters=3))
+        z.append((result.pitch_rad - sample.pose.pitch_rad) / result.stderr_rad)
+    assert 0.5 <= float(np.sqrt(np.mean(np.square(z)))) <= 2.5
 
 
 def test_insufficient_lanes_raise():
@@ -121,12 +142,13 @@ def test_insufficient_lanes_raise():
 
 
 def test_fit_near_line_insufficient():
-    # the near-field line fit of calibrate_pitch needs two points with y_flat < y_close
+    # the near-field line fit of calibrate_pitch needs three points with y_flat < y_close
     good = straight_lane_pixels(0.0, 0.01)
     far_only = np.stack([np.full(5, 200.0), np.linspace(181.0, 183.0, 5)], axis=-1)
-    # one point below v = 255 (10 m at pitch 0), the rest beyond y_close
+    # one or two points below v = 255 (10 m at pitch 0), the rest beyond y_close
     one_near = np.stack([np.full(5, 400.0), [300.0, 200.0, 195.0, 190.0, 185.0]], axis=-1)
-    for lane, n_near in ((far_only, 0), (one_near, 1)):
+    two_near = np.stack([np.full(5, 400.0), [300.0, 280.0, 195.0, 190.0, 185.0]], axis=-1)
+    for lane, n_near in ((far_only, 0), (one_near, 1), (two_near, 2)):
         assert (~beyond_y_close(lane, 0.0, 10.0)).sum() == n_near
         # too few near points to fit a line: one usable lane is left
         with pytest.raises(InsufficientPointsError):
@@ -137,15 +159,18 @@ def test_lane_without_near_points_is_skipped():
     good = straight_lane_pixels(0.0, 0.01)
     far_only = np.stack([np.full(5, 200.0), np.linspace(181.0, 183.0, 5)], axis=-1)
     one_near = np.stack([np.full(5, 400.0), [300.0, 200.0, 195.0, 190.0, 185.0]], axis=-1)
+    two_near = np.stack([np.full(5, 400.0), [300.0, 280.0, 195.0, 190.0, 185.0]], axis=-1)
+    # near, but all at one distance: the slope is undefined
+    one_row = np.stack([np.linspace(300.0, 400.0, 5), np.full(5, 300.0)], axis=-1)
     # the far-only lane back-projects beyond y_close, leaving one usable lane
     with pytest.raises(InsufficientPointsError):
         calibrate_pitch([good, far_only], DEFAULT_INTRINSICS, 1.5)
     right = straight_lane_pixels(3.7, 0.01)
     two = calibrate_pitch([good, right], DEFAULT_INTRINSICS, 1.5)
-    for lane in (far_only, one_near):
+    for lane in (far_only, one_near, two_near, one_row):
         three = calibrate_pitch([good, lane, right], DEFAULT_INTRINSICS, 1.5)
         assert three.pitch_rad == two.pitch_rad
-        assert three.pairs == two.pairs
+        assert three.lines == two.lines
 
 
 def test_close_intercepts_are_ill_conditioned():

@@ -90,7 +90,7 @@ def test_calibrate_recovers_pitch(capsys, tmp_path):
         capsys, tmp_path, "calibrate", "--in", str(scene), "--iters", "5", out_name="calib.json"
     )
     assert doc["converged"] is True
-    assert doc["n_pairs"] == 3
+    assert doc["n_lines"] == 4
     assert doc["abs_error_deg"] < 1e-6
 
 
@@ -445,7 +445,7 @@ NUMERIC_FLAGS = {
     "synth": ("--lane-width", "--grade", "--bend-radius", "--gap", "--crown", "--pitch-deg",
               "--height", "--y-start", "--y-end", "--spacing", "--jitter-px", "--perturb-pitch-deg"),
     "calibrate": ("--y-close", "--tol"),
-    "loss": ("--smooth-delta", "--pred-pitch-deg", "--calib-pitch-deg", "--weights"),
+    "loss": ("--pred-pitch-deg", "--calib-pitch-deg", "--weights"),
     "fit": ("--tol",),
     "nms": ("--d-thresh", "--prob-floor"),
     "eval": ("--y-min", "--y-max", "--y-step", "--match-dist", "--match-frac", "--split"),
@@ -511,8 +511,8 @@ BAD_NUMBERS = [
     ("calibrate", ["--tol", "-1"], EXIT_INVALID),
     ("loss", ["--weights", "width=-1"], EXIT_INVALID),
     ("loss", ["--weights", "height=nan"], EXIT_INVALID),
-    ("loss", ["--smooth-delta", "-1"], EXIT_INVALID),
-    ("loss", ["--smooth-delta", "nan"], EXIT_INVALID),
+    ("loss", ["--smooth-delta", "-1"], EXIT_USAGE),  # loss too: the Huber variant is gone
+    ("loss", ["--smooth-delta", "nan"], EXIT_USAGE),
     ("loss", ["--pred-pitch-deg", "nan", "--calib-pitch-deg", "0"], EXIT_INVALID),
     ("loss", ["--weights", "width=1e308"], EXIT_INVALID),
 ]

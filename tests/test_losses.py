@@ -91,29 +91,6 @@ def test_width_loss_normalize_divides_by_terms():
     assert norm == pytest.approx(raw / 2.0)
 
 
-def test_width_loss_smooth_delta_regions():
-    t = two_lane_tensor([3.7, 3.75, 3.7])  # diffs +-0.05
-    exact, _ = width_loss(t, POSE)
-    assert exact == pytest.approx(0.1, abs=1e-12)
-    quad, gq = width_loss(t, POSE, smooth_delta=0.1)  # |v| < delta: v^2/(2 delta)
-    assert quad == pytest.approx(2 * (0.05 ** 2) / 0.2, abs=1e-12)
-    np.testing.assert_allclose(gq.d_x_offsets[1, 0], [-0.5, 1.0, -0.5], atol=1e-12)
-    lin, gl = width_loss(t, POSE, smooth_delta=0.01)  # |v| >= delta: |v| - delta/2
-    assert lin == pytest.approx(0.1 - 0.01, abs=1e-12)
-    np.testing.assert_allclose(gl.d_x_offsets[1, 0], [-1.0, 2.0, -1.0], atol=1e-12)
-
-
-def test_smooth_l1_continuous_at_kink():
-    from bevlane.losses import _l1
-
-    delta = 0.05
-    below, _ = _l1(np.array([delta * (1 - 1e-9)]), delta)
-    above, _ = _l1(np.array([delta * (1 + 1e-9)]), delta)
-    # both branches meet at delta/2; the only gap is the slope-1 crossing
-    assert float(below[0]) == pytest.approx(delta / 2, rel=1e-8)
-    assert float(above[0]) == pytest.approx(delta / 2, rel=1e-8)
-
-
 def test_degenerate_neighbour_chord_raises():
     # z = h collapses lifted points onto the camera axis: consecutive
     # neighbour samples coincide and no chord direction exists
@@ -278,16 +255,6 @@ def test_loss_weights_validation():
             with pytest.raises(InvalidInputError, match=name):
                 LossWeights(**{name: bad})
     LossWeights(bev=1e6)  # the upper edge is accepted
-
-
-@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
-def test_smooth_delta_must_be_positive_and_finite(delta):
-    t = two_lane_tensor([3.7, 3.8, 3.7], right_z=[0.0, 0.05, 0.0])
-    for loss in (lambda: width_loss(t, POSE, smooth_delta=delta),
-                 lambda: height_loss(t, smooth_delta=delta),
-                 lambda: z_loss(t, t, smooth_delta=delta)):
-        with pytest.raises(InvalidInputError):
-            loss()
 
 
 def test_total_sup_combines_terms():
