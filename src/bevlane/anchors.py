@@ -127,9 +127,6 @@ class AnchorTensor:
         """Absolute flat-ground lateral position per (anchor, layer, step)."""
         return self.grid.x_centers_array()[:, None, None] + self.x_offsets
 
-    def active(self, threshold: float = PROB_ACTIVE_THRESHOLD) -> np.ndarray:
-        return self.prob >= threshold
-
     def same_grid(self, other: "AnchorTensor") -> bool:
         g, o = self.grid, other.grid
         return (
@@ -213,7 +210,11 @@ def encode_gt(lanes, grid: AnchorGridSpec) -> AnchorTensor:
     linear resampling; a second lane on the same anchor activates layer 2 with
     probability 1 as well.  Empty slots stay all zero.
     """
-    assignment = associate(lanes, grid)
+    return _rasterize(lanes, associate(lanes, grid), grid)
+
+
+def _rasterize(lanes, assignment: AnchorAssignment, grid: AnchorGridSpec) -> AnchorTensor:
+    """`encode_gt` for lanes already assigned to anchors by `associate`."""
     tensor = AnchorTensor.empty(grid)
     y_steps = grid.y_steps_array()
     centers = grid.x_centers_array()

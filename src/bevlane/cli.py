@@ -24,7 +24,9 @@ from .anchors import (
     PROB_ACTIVE_THRESHOLD,
     VIS_DECODE_THRESHOLD,
     AnchorGridSpec,
+    AnchorTensor,
     NmsConfig,
+    _rasterize,
     associate,
     decode,
     encode_gt,
@@ -32,9 +34,9 @@ from .anchors import (
 )
 from .calibration import CalibConfig, calibrate_pitch
 from .errors import InvalidInputError, LaneError, NumericError
-from .fit import FitConfig, first_pinnable_step, fit_sup, fit_ws
+from .fit import FitConfig, fit_sup, fit_ws
 from .laneio import LaneFile, dumps_json, lane_file_from_sample, read_lane_file, write_lane_file
-from .losses import LossWeights, second_layer_mask, total_sup, total_ws
+from .losses import LossWeights, total_sup, total_ws
 from .metrics import EvalConfig, evaluate
 from .plot import write_svg
 from .scenes import PROFILES, SceneSpec, make_scene, perturb_pitch
@@ -94,6 +96,16 @@ def _require(condition: bool, message: str) -> None:
 def _require_pose(lf: LaneFile):
     _require(lf.pose is not None, "input file carries no camera pose")
     return lf.pose
+
+
+def _write_anchor_file(path, lf: LaneFile, tensor: AnchorTensor) -> None:
+    """Write `tensor` with the camera and meta of `lf` and the 3D lanes the
+    tensor decodes to, none without a pose.  No lane of `lf` is copied: the
+    lanes of the file are what its command produced."""
+    lanes3d = decode(tensor, lf.pose) if lf.pose is not None else []
+    out = LaneFile(intrinsics=lf.intrinsics, pose=lf.pose, true_pitch_deg=lf.true_pitch_deg,
+                   lanes3d=lanes3d, anchors=tensor, meta=lf.meta)
+    write_lane_file(path, out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +174,8 @@ def cmd_encode(args) -> int:
     _require(len(lf.lanes_bev) >= 1, "no flat-ground lanes to encode")
     grid = AnchorGridSpec.default()
     assignment = associate(lf.lanes_bev, grid)
-    tensor = encode_gt(lf.lanes_bev, grid)
-    lf.anchors = tensor
-    write_lane_file(args.out, lf)
+    tensor = _rasterize(lf.lanes_bev, assignment, grid)
+    _write_anchor_file(args.out, lf, tensor)
     _print_json(
         {
             "out": str(args.out),
@@ -219,12 +230,7 @@ def cmd_fit(args) -> int:
         include_first_step=args.include_first_step,
     )
     if args.mode == "weak":
-        mask = second_layer_mask(reference)
-        pin_step = args.pin_step
-        if pin_step is None:
-            pin_step = first_pinnable_step(start, pose, mask)
-        pin_z = 0.0 if args.pin == "zero" else None
-        fitted, report = fit_ws(start, pose, cfg, pin_step=pin_step, pin_z=pin_z, mask=mask)
+        fitted, report = fit_ws(start, pose, cfg, pin_step=args.pin_step)
     else:
         fitted, report = fit_sup(start, reference, cfg)
     gate = (reference.prob >= PROB_ACTIVE_THRESHOLD)[:, :, None] & (
@@ -232,15 +238,7 @@ def cmd_fit(args) -> int:
     )
     dz = fitted.z[gate] - reference.z[gate]
     rmse = float(np.sqrt(np.mean(dz * dz))) if dz.size else 0.0
-    out_lf = LaneFile(
-        intrinsics=lf.intrinsics,
-        pose=pose,
-        true_pitch_deg=lf.true_pitch_deg,
-        lanes3d=decode(fitted, pose),
-        anchors=fitted,
-        meta=dict(lf.meta),
-    )
-    write_lane_file(args.out, out_lf)
+    _write_anchor_file(args.out, lf, fitted)
     _print_json(
         {
             "out": str(args.out),
@@ -262,9 +260,9 @@ def cmd_nms(args) -> int:
     lf = read_lane_file(args.input)
     _require(lf.anchors is not None, "input file carries no anchors")
     before = int((lf.anchors.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
-    lf.anchors = nms(lf.anchors, NmsConfig(d_thresh=args.d_thresh, prob_floor=args.prob_floor))
-    after = int((lf.anchors.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
-    write_lane_file(args.out, lf)
+    kept = nms(lf.anchors, NmsConfig(d_thresh=args.d_thresh, prob_floor=args.prob_floor))
+    after = int((kept.prob[:, 0] >= PROB_ACTIVE_THRESHOLD).sum())
+    _write_anchor_file(args.out, lf, kept)
     _print_json({"out": str(args.out), "before": before, "after": after, "suppressed": before - after})
     return EXIT_OK
 
@@ -353,13 +351,13 @@ def build_parser() -> _Parser:
     p.add_argument("--calib-pitch-deg", type=float, default=None)
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("fit", help="recover heights from flat-ground labels")
+    # no abbreviations: the removed --pin would otherwise read as --pin-step
+    p = sub.add_parser("fit", help="recover heights from flat-ground labels", allow_abbrev=False)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("weak", "sup"), default="weak")
     p.add_argument("--steps", type=int, default=12000)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--pin", choices=("zero", "keep"), default="zero")
     p.add_argument("--pin-step", type=int, default=None)
     p.add_argument("--include-first-step", action="store_true")
     p.set_defaults(func=cmd_fit)

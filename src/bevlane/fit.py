@@ -367,7 +367,6 @@ def fit_ws(
     cfg: FitConfig = FitConfig(),
     pin_step: int | None = None,
     pin_z: float | np.ndarray | None = 0.0,
-    mask: np.ndarray | None = None,
 ):
     """Recover the z channel by minimizing the width and height terms alone.
 
@@ -381,8 +380,7 @@ def fit_ws(
     between lanes or the closed form has no value at the pin.  Returns a new
     tensor and a FitReport; the input is not modified.
     """
-    if mask is None:
-        mask = second_layer_mask(tensor)
+    mask = second_layer_mask(tensor)
     if pin_step is None:
         pin_step = first_pinnable_step(tensor, pose, mask)
     if not (0 <= pin_step < tensor.grid.n_steps):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlane import LaneFile, write_lane_file
+from bevlane import LaneFile, decode, read_lane_file, write_lane_file
 from bevlane.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from bevlane.geometry import CameraPose, DEFAULT_INTRINSICS, project_points3_to_image
 
@@ -200,6 +200,65 @@ def test_nms_reproducible(capsys, tmp_path, encoded_path):
     )
     # encoded lanes sit a full lane width apart; nothing to suppress
     assert doc["before"] == 4 and doc["after"] == 4 and doc["suppressed"] == 0
+
+
+def test_encode_logs_each_dropped_lane_once(capsys, caplog, tmp_path):
+    scene = tmp_path / "scene.json"
+    run(capsys, "synth", "--lanes", "8", "--out", str(scene))
+    caplog.clear()
+    code, text = run(capsys, "encode", "--in", str(scene), "--out", str(tmp_path / "enc.json"))
+    assert code == EXIT_OK
+    dropped = [d["lane"] for d in json.loads(text)["dropped"]]
+    assert dropped == [0, 7]
+    warned = [r.getMessage() for r in caplog.records if r.name == "bevlane.anchors"]
+    assert len(warned) == len(dropped)
+    assert [m.split()[1] for m in warned] == [str(i) for i in dropped]
+
+
+@pytest.mark.parametrize("command", ["encode", "nms", "fit"])
+def test_anchor_outputs_hold_only_their_decoded_lanes(capsys, tmp_path, scene_path, encoded_path,
+                                                      command):
+    source = encoded_path if command == "nms" else scene_path
+    out = tmp_path / "out.json"
+    code, _ = run(capsys, command, "--in", str(source), "--out", str(out))
+    assert code == EXIT_OK
+    lf = read_lane_file(out)
+    assert lf.lanes_bev == [] and lf.lanes_image == []
+    decoded = decode(lf.anchors, lf.pose)
+    assert len(lf.lanes3d) == len(decoded) == 4
+    for written, lane in zip(lf.lanes3d, decoded):
+        # the file decodes the tensor before both are rounded to 9 digits
+        np.testing.assert_allclose(written.points, lane.points, rtol=1e-8, atol=1e-9)
+
+
+def test_eval_of_nms_output_scores_only_the_kept_anchors(capsys, tmp_path):
+    scene, encoded = tmp_path / "scene.json", tmp_path / "encoded.json"
+    run(capsys, "synth", "--profile", "bend", "--seed", "3", "--out", str(scene))
+    run(capsys, "encode", "--in", str(scene), "--out", str(encoded))
+    lf = read_lane_file(encoded)
+    lf.anchors.prob[:] = 0.0
+    write_lane_file(encoded, lf)
+    deduped = tmp_path / "deduped.json"
+    code, _ = run(capsys, "nms", "--in", str(encoded), "--out", str(deduped))
+    assert code == EXIT_OK
+    code, text = run(capsys, "eval", "--pred", str(deduped), "--gt", str(scene))
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert (doc["n_pred"], doc["n_matched"], doc["n_gt"]) == (0, 0, 4)
+
+
+@pytest.mark.parametrize("command", ["encode", "nms"])
+def test_pose_less_files_give_anchors_without_lanes(capsys, tmp_path, scene_path, encoded_path,
+                                                    command):
+    lf = read_lane_file(encoded_path if command == "nms" else scene_path)
+    lf.pose = None
+    pose_less, out = tmp_path / "pose_less.json", tmp_path / "out.json"
+    write_lane_file(pose_less, lf)
+    code, _ = run(capsys, command, "--in", str(pose_less), "--out", str(out))
+    assert code == EXIT_OK
+    back = read_lane_file(out)
+    assert back.pose is None and back.anchors is not None
+    assert back.lanes3d == [] and back.lanes_bev == [] and back.lanes_image == []
 
 
 def test_eval_reproducible(capsys, tmp_path, scene_path):
@@ -515,6 +574,8 @@ BAD_NUMBERS = [
     ("loss", ["--smooth-delta", "nan"], EXIT_USAGE),
     ("loss", ["--pred-pitch-deg", "nan", "--calib-pitch-deg", "0"], EXIT_INVALID),
     ("loss", ["--weights", "width=1e308"], EXIT_INVALID),
+    ("fit", ["--pin", "zero"], EXIT_USAGE),  # the fit always pins its start's zero heights
+    ("fit", ["--pin", "3"], EXIT_USAGE),  # and is no abbreviation of --pin-step
 ]
 
 

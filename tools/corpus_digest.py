@@ -8,8 +8,8 @@ The corpus is 6 profiles x seeds 0-19 x {default, `--crown 0.02`,
 in process through `bevlane.cli.main`, inside a temporary directory with
 relative file names, so no absolute path reaches stdout.  For each command
 the tool hashes, scene by scene, the exit code, the stdout and the bytes of
-every file the command wrote, and prints one digest per command and one over
-all of them.  Two checkouts whose lines agree produce identical bytes; a
+every file the command wrote, and prints one digest per command, with the
+total bytes of the files it wrote, and one digest over all of them.  Two checkouts whose lines agree produce identical bytes; a
 change that claims to leave a command's output alone shows it here.
 
 Run from any directory; the tool imports the program from the `src` beside
@@ -57,8 +57,9 @@ def run_cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def run_corpus(hashes, failures) -> None:
-    """Run every scene's chain in the current directory, feeding each command's hash."""
+def run_corpus(hashes, failures, sizes) -> None:
+    """Run every scene's chain in the current directory, feeding each command's
+    hash, non-zero exit count and written bytes."""
     for profile in PROFILES:
         for seed in SEEDS:
             for variant, flags in VARIANTS.items():
@@ -71,23 +72,29 @@ def run_corpus(hashes, failures) -> None:
                     h.update(f"{profile} {seed} {variant} exit {code}\n{stdout}".encode())
                     for name in files:
                         if os.path.exists(name):
-                            h.update(f"file {name}\n".encode() + Path(name).read_bytes())
+                            data = Path(name).read_bytes()
+                            h.update(f"file {name}\n".encode() + data)
+                            sizes[cmd] += len(data)
                     failures[cmd] += code != 0
 
 
 def main_digest() -> int:
     hashes = {cmd: hashlib.sha256() for cmd, _, _ in CHAIN}
     failures = dict.fromkeys(hashes, 0)
+    sizes = dict.fromkeys(hashes, 0)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            run_corpus(hashes, failures)
+            run_corpus(hashes, failures, sizes)
         finally:
             os.chdir(cwd)
     n_scenes = len(PROFILES) * len(SEEDS) * len(VARIANTS)
     for cmd, h in hashes.items():
-        print(f"{cmd:<10} {h.hexdigest()}  ({n_scenes} runs, {failures[cmd]} non-zero exits)")
+        print(
+            f"{cmd:<10} {h.hexdigest()}  {sizes[cmd]:>11,} B  "
+            f"({n_scenes} runs, {failures[cmd]} non-zero exits)"
+        )
     everything = hashlib.sha256("".join(h.hexdigest() for h in hashes.values()).encode())
     print(f"{'all':<10} {everything.hexdigest()}")
     return 0
